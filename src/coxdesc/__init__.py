@@ -22,7 +22,7 @@ from .descent import (
 )
 from .errors import GroupTooLargeError, InvariantError
 from .exact import Rational, cyclo_field, rational_from_string, rational_to_string
-from .modular import DEFAULT_PRIMES, PrimeFieldElement, charpoly_mod
+from .modular import DEFAULT_PRIMES, charpoly_mod
 from .oracle import (
     GroupAlgebraElement,
     VerificationVerdict,
@@ -43,7 +43,7 @@ __all__ = [
     "class_sizes_from_A", "multiply", "spectrum", "x_to_y", "y_to_x",
     "GroupTooLargeError", "InvariantError",
     "Rational", "cyclo_field", "rational_from_string", "rational_to_string",
-    "DEFAULT_PRIMES", "PrimeFieldElement", "charpoly_mod",
+    "DEFAULT_PRIMES", "charpoly_mod",
     "GroupAlgebraElement", "VerificationVerdict", "convolve", "expand",
     "regular_rep", "verify_lemma_same_spectrum", "verify_spectrum",
     "bergeron_compare", "bergeron_sorted", "subset_from_name", "subset_name",

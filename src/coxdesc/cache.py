@@ -1,13 +1,14 @@
 """Group cache: skip the root-system closure on repeat builds.
 
-The cache stores the generator permutations of the root set and the root
-signs, keyed by a hash of the canonical spec matrix.  Element enumeration
-from these permutations is deterministic, so a cache load reproduces the
-exact same element table and query results as a fresh build.
+Version 2 stores only the generator permutations of the root set, keyed by a
+hash of the canonical spec matrix; root signs are derived from them on load,
+as on a fresh build.  Element enumeration from these permutations is
+deterministic, so a cache load reproduces the exact same element table and
+query results as a fresh build.
 
 Location: the directory named by the COXDESC_CACHE environment variable,
-default ".coxdesc-cache".  Files are versioned JSON; stale versions are
-ignored.
+default ".coxdesc-cache".  Files are versioned JSON; stale versions and
+malformed files are ignored (the group is rebuilt and the file rewritten).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 ENV_VAR = "COXDESC_CACHE"
 DEFAULT_DIR = ".coxdesc-cache"
 
@@ -30,34 +32,52 @@ def _path(spec, override):
     return os.path.join(cache_dir(override), f"group-{digest}.json")
 
 
+def _valid_perms(perms, rank: int) -> bool:
+    """`rank` involutions of one range(n), n >= rank (an involution of
+    range(n) into itself is a permutation)."""
+    if not isinstance(perms, list) or len(perms) != rank:
+        return False
+    n = len(perms[0]) if isinstance(perms[0], list) else -1
+    return n >= rank and all(
+        isinstance(p, list) and len(p) == n
+        and all(type(x) is int and 0 <= x < n for x in p)
+        and all(p[x] == i for i, x in enumerate(p)) for p in perms)
+
+
 def load(spec, override: str | None = None):
-    """Return (gen_perms, root_signs) or None when absent/stale."""
+    """Return the generator permutations, or None when absent/stale/malformed."""
     path = _path(spec, override)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError):
         return None
-    if data.get("version") != CACHE_VERSION:
+    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
         return None
     if data.get("spec_key") != spec.canonical_key():
         return None
-    gen_perms = [tuple(p) for p in data["gen_perms"]]
-    signs = tuple(data["root_signs"])
-    return gen_perms, signs
+    perms = data.get("gen_perms")
+    if not _valid_perms(perms, spec.rank):
+        return None
+    return [tuple(p) for p in perms]
 
 
-def save(spec, gen_perms, root_signs, override: str | None = None) -> str:
+def save(spec, gen_perms, override: str | None = None) -> str:
+    """Write atomically through a unique temporary file in the cache dir."""
     path = _path(spec, override)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
     data = {
         "version": CACHE_VERSION,
         "spec_key": spec.canonical_key(),
         "gen_perms": [list(p) for p in gen_perms],
-        "root_signs": list(root_signs),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path

@@ -20,9 +20,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
-from fractions import Fraction
 
 from .coxeter import CoxeterSpec, ParabolicAtlas, build_group
 from .descent import (
@@ -31,6 +31,7 @@ from .descent import (
     ajkk_matrix,
     ajkk_matrix_bruteforce,
     solve_class_vector,
+    solve_lower_triangular,
     spectrum,
 )
 from .errors import GroupTooLargeError
@@ -77,9 +78,14 @@ def _mask_label(mask: int) -> str:
 
 
 def _emit(text: str):
-    sys.stdout.write(text)
     if not text.endswith("\n"):
-        sys.stdout.write("\n")
+        text += "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): drop the rest, it is not an error
+        sys.stdout = open(os.devnull, "w")
 
 
 def _render_table(labels, rows, fmt: str, title: str) -> str:
@@ -278,23 +284,23 @@ def cmd_counterexample(args) -> int:
     v_corr = solve_class_vector(atlas, corrected)
     # the printed table from the older formula, in its own label order
     pub_rows = [list(r) for r in PUBLISHED_NAIVE_H3]
-    v_pub = _solve_lower_triangular_ish(pub_rows, 120)
+    v_pub = solve_lower_triangular(pub_rows, 120)
+    table_fmt = "text" if args.format == "json" else args.format
     out = []
-    out.append(_render_table(labels, naive, args.format if args.format != "json"
-                             else "text", "a_JKK by the uncorrected formula"))
+    out.append(_render_table(labels, naive, table_fmt,
+                             "a_JKK by the uncorrected formula"))
     out.append("A^-1 u = (" + ", ".join(rational_to_string(v) for v in v_naive)
                + f")   [sum {rational_to_string(sum(v_naive))}]")
     out.append("negative entries: the uncorrected formula cannot give class data")
     out.append("")
     out.append("as printed (bottom row filled by hand in the reference table):")
-    out.append(_render_table(list(PUBLISHED_NAIVE_H3_LABELS), pub_rows,
-                             args.format if args.format != "json" else "text",
+    out.append(_render_table(list(PUBLISHED_NAIVE_H3_LABELS), pub_rows, table_fmt,
                              "published uncorrected table"))
     out.append("A^-1 u = (" + ", ".join(rational_to_string(v) for v in v_pub)
                + f")   [sum {rational_to_string(sum(v_pub))}]")
     out.append("")
-    out.append(_render_table(labels, corrected, args.format if args.format != "json"
-                             else "text", "a_JKK by the corrected formula"))
+    out.append(_render_table(labels, corrected, table_fmt,
+                             "a_JKK by the corrected formula"))
     out.append("A^-1 u = (" + ", ".join(rational_to_string(v) for v in v_corr)
                + f")   [sum {rational_to_string(sum(v_corr))}]")
     out.append("the corrected values are the per-class element counts of H3")
@@ -315,18 +321,6 @@ def cmd_counterexample(args) -> int:
     else:
         _emit("\n".join(out))
     return EXIT_OK
-
-
-def _solve_lower_triangular_ish(rows, rhs_value):
-    """Exact solve of A z = (r, ..., r) for a lower-triangular integer matrix."""
-    n = len(rows)
-    z = [Fraction(0)] * n
-    for i in range(n):
-        acc = Fraction(rhs_value)
-        for j in range(i):
-            acc -= rows[i][j] * z[j]
-        z[i] = acc / rows[i][i]
-    return z
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -149,8 +149,9 @@ class CoxeterSpec:
 def _build_root_permutations(spec: CoxeterSpec, cap: int):
     """Close the simple roots under the simple reflections.
 
-    Returns (generator permutations of the root set, per-root sign), where
-    sign is +1 for positive roots (all simple-basis coordinates >= 0).
+    Returns the generator permutations of the root set; the simple roots are
+    root indices 0..rank-1.  Only exact equality of coordinates is used, so
+    root signs are not decided here (see CoxeterSystem._positive_roots).
     """
     rank = spec.rank
     labels = [spec.matrix[i][j] for i in range(rank) for j in range(i + 1, rank)]
@@ -183,19 +184,7 @@ def _build_root_permutations(spec: CoxeterSpec, cap: int):
                     roots.append(w)
                     nxt.append(w)
         frontier = nxt
-    gen_perms = [
-        tuple(index[reflect(i, v)] for v in roots) for i in range(rank)
-    ]
-    signs = []
-    for v in roots:
-        s = 0
-        for c in v:
-            s = c.sign()
-            if s:
-                break
-        assert s != 0
-        signs.append(s)
-    return gen_perms, tuple(signs)
+    return [tuple(index[reflect(i, v)] for v in roots) for i in range(rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +198,15 @@ class CoxeterSystem:
     (ascending generator index), so it is deterministic and length-graded.
     """
 
-    def __init__(self, spec: CoxeterSpec, gen_perms, root_signs,
+    def __init__(self, spec: CoxeterSpec, gen_perms,
                  cap: int = DEFAULT_ELEMENT_CAP):
         self.spec = spec
         self.rank = spec.rank
         self.gen_perms = [tuple(p) for p in gen_perms]
-        self.root_signs = tuple(root_signs)
-        self.num_roots = len(root_signs)
+        self.num_roots = len(self.gen_perms[0])
+        positive = self._positive_roots()
+        self.root_signs = tuple(1 if r in positive else -1
+                                for r in range(self.num_roots))
         self._enumerate(cap)
         self._lock = threading.Lock()
         self._mult_rows: dict[int, list[int]] = {}
@@ -224,6 +215,22 @@ class CoxeterSystem:
         self._subgroup_masks: dict[int, int] = {}
 
     # -- construction --------------------------------------------------------
+
+    def _positive_roots(self) -> set:
+        """Phi+ as root indices: the simple roots 0..rank-1 closed under s_j
+        applied to roots other than alpha_j (s_j permutes Phi+ minus alpha_j)."""
+        positive = set(range(self.rank))
+        frontier = list(positive)
+        while frontier:
+            nxt = []
+            for r in frontier:
+                for j, perm in enumerate(self.gen_perms):
+                    x = perm[r]
+                    if r != j and x not in positive:
+                        positive.add(x)
+                        nxt.append(x)
+            frontier = nxt
+        return positive
 
     def _enumerate(self, cap):
         rank = self.rank
@@ -352,10 +359,8 @@ class CoxeterSystem:
             with self._lock:
                 if self._conj_gen is None:
                     table = []
-                    for pw in self.elements:
-                        ip = [0] * self.num_roots
-                        for r, x in enumerate(pw):
-                            ip[x] = r
+                    for w, pw in enumerate(self.elements):
+                        ip = self.elements[self.inverse[w]]
                         table.append([
                             self.index[tuple(pw[self.gen_perms[i][x]] for x in ip)]
                             for i in range(self.rank)
@@ -501,23 +506,22 @@ def build_group(spec: CoxeterSpec, cap: int = DEFAULT_ELEMENT_CAP,
                 cache_dir: str | None = None) -> CoxeterSystem:
     """Build the full CoxeterSystem for a spec.
 
-    With use_cache the root-system data is loaded from / saved to the cache
-    directory (COXDESC_CACHE env var, default ".coxdesc-cache"); element
-    enumeration from cached data is deterministic, so queries are identical
-    to a fresh build.  Fails with GroupTooLargeError("group too large or
-    infinite") if the enumeration exceeds `cap` elements.
+    With use_cache the generator permutations are loaded from / saved to the
+    cache directory (COXDESC_CACHE env var, default ".coxdesc-cache");
+    element enumeration from cached data is deterministic, so queries are
+    identical to a fresh build.  Fails with GroupTooLargeError("group too
+    large or infinite") if the enumeration exceeds `cap` elements.
     """
     from . import cache as _cache
 
     if use_cache:
-        cached = _cache.load(spec, cache_dir)
-        if cached is not None:
-            gen_perms, signs = cached
-            return CoxeterSystem(spec, gen_perms, signs, cap=cap)
-    gen_perms, signs = _build_root_permutations(spec, cap)
-    group = CoxeterSystem(spec, gen_perms, signs, cap=cap)
+        gen_perms = _cache.load(spec, cache_dir)
+        if gen_perms is not None:
+            return CoxeterSystem(spec, gen_perms, cap=cap)
+    gen_perms = _build_root_permutations(spec, cap)
+    group = CoxeterSystem(spec, gen_perms, cap=cap)
     if use_cache:
-        _cache.save(spec, gen_perms, signs, cache_dir)
+        _cache.save(spec, gen_perms, cache_dir)
     return group
 
 
@@ -655,7 +659,6 @@ class ParabolicAtlas:
         best_cls = [0] * n
         best_size[0] = 1
         best_cls[0] = self.class_of[0]
-        num_roots = g.num_roots
         for mask in self.all_masks:
             if mask == 0:
                 continue
@@ -664,9 +667,7 @@ class ParabolicAtlas:
             cls = self.class_of[mask]
             for x in g.min_coset_reps(mask, "right"):
                 px = g.elements[x]
-                ip = [0] * num_roots
-                for r, v in enumerate(px):
-                    ip[v] = r
+                ip = g.elements[g.inverse[x]]
                 for u in sub:
                     if u == 0:
                         continue

@@ -26,7 +26,7 @@ __all__ = [
     "DescentElement", "StructureConstants", "SpectrumReport",
     "y_to_x", "x_to_y", "multiply", "ajkk_formula", "ajkk_matrix",
     "ajkk_matrix_bruteforce", "action_matrix", "spectrum",
-    "solve_class_vector", "class_sizes_from_A",
+    "solve_class_vector", "solve_lower_triangular", "class_sizes_from_A",
 ]
 
 
@@ -290,22 +290,28 @@ def solve_class_vector(atlas: ParabolicAtlas, matrix: list[list[int]]):
     p = atlas.p
     sizes = [len(g.subgroup(rep)) for rep in atlas.class_reps]
     perm = sorted(range(p), key=lambda i: sizes[i])
-    b = [[Fraction(matrix[perm[i]][perm[j]]) for j in range(p)] for i in range(p)]
+    b = [[matrix[perm[i]][perm[j]] for j in range(p)] for i in range(p)]
     for i in range(p):
         assert b[i][i] > 0
         for j in range(i + 1, p):
             assert b[i][j] == 0, "class matrix not triangular in size order"
-    u = Fraction(g.order)
-    z = [Fraction(0)] * p
-    for i in range(p):
-        acc = u
-        for j in range(i):
-            acc -= b[i][j] * z[j]
-        z[i] = acc / b[i][i]
+    z = solve_lower_triangular(b, g.order)
     out = [Fraction(0)] * p
     for i in range(p):
         out[perm[i]] = z[i]
     return out
+
+
+def solve_lower_triangular(rows, rhs) -> list[Fraction]:
+    """Exact forward substitution for A z = (rhs, ..., rhs), A lower triangular."""
+    n = len(rows)
+    z = [Fraction(0)] * n
+    for i in range(n):
+        acc = Fraction(rhs)
+        for j in range(i):
+            acc -= rows[i][j] * z[j]
+        z[i] = acc / rows[i][i]
+    return z
 
 
 def class_sizes_from_A(atlas: ParabolicAtlas, mode: str = "corrected"):

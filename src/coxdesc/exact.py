@@ -3,7 +3,9 @@
 Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator).  This module adds the "p/q" string serialization used
 in all file formats, and the real cyclotomic fields Q(2cos(pi/N)) that carry
-the exact coordinates of root systems.
+the exact coordinates of root systems.  The root closure only needs exact
+equality of such coordinates; no sign or ordering of field elements is ever
+decided (root signs come from the generator permutations, see coxeter).
 
 Everything here is immutable after construction; all operations are pure
 functions, safe to share across threads.
@@ -42,15 +44,6 @@ def _poly_trim(c):
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_divexact(a, b):
@@ -119,61 +112,11 @@ def minimal_polynomial_2cos(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Real cyclotomic field Q(2cos(pi/N)).
 
-def _frac_poly_eval_interval(coeffs, lo: Fraction, hi: Fraction):
-    """Horner evaluation of a rational polynomial over the interval [lo, hi]."""
-    rlo = rhi = Fraction(0)
-    for c in reversed(coeffs):
-        # [rlo, rhi] * [lo, hi]
-        cands = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
-        rlo, rhi = min(cands) + c, max(cands) + c
-    return rlo, rhi
-
-
-def _frac_poly_eval(coeffs, x: Fraction) -> Fraction:
-    r = Fraction(0)
-    for c in reversed(coeffs):
-        r = r * x + c
-    return r
-
-
-def _sturm_chain(coeffs):
-    chain = [list(coeffs)]
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    chain.append(deriv)
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        a, b = chain[-2], chain[-1]
-        # remainder of a by b, negated
-        r = [Fraction(c) for c in a]
-        db, lb = len(b) - 1, b[-1]
-        for i in range(len(r) - 1, db - 1, -1):
-            if r[i] == 0:
-                continue
-            f = r[i] / lb
-            for j, y in enumerate(b):
-                r[i - db + j] -= f * y
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) == 1 and r[0] == 0:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _frac_poly_eval(poly, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 class CycloField:
     """The field Q(2cos(pi/N)), elements in the power basis of the generator.
 
-    The generator gamma = 2cos(pi/N) is the largest real root of its minimal
-    polynomial; an exact isolating interval with rational endpoints is kept
-    (and refined on demand) so element signs are always decidable.
+    The generator gamma = 2cos(pi/N) is a root of the minimal polynomial;
+    elements are reduced modulo that polynomial, so equality is exact.
     """
 
     def __init__(self, n: int):
@@ -182,8 +125,6 @@ class CycloField:
         self.n = n
         self.min_poly = tuple(Fraction(c) for c in minimal_polynomial_2cos(n))
         self.degree = len(self.min_poly) - 1
-        self._sturm = _sturm_chain(self.min_poly)
-        self._lo, self._hi = self._isolate_largest_root()
         # x^(degree+i) mod min_poly for i = 0..degree-2, as coefficient rows
         self._red = self._reduction_rows()
         self.zero = CycloElement(self, (Fraction(0),) * self.degree)
@@ -191,28 +132,6 @@ class CycloField:
         self.generator = self._make_generator()
 
     # -- construction -------------------------------------------------------
-
-    def _count_roots(self, a: Fraction, b: Fraction) -> int:
-        return _sign_variations(self._sturm, a) - _sign_variations(self._sturm, b)
-
-    def _isolate_largest_root(self):
-        lo, hi = Fraction(-2), Fraction(2)
-        # all roots are 2cos(k*pi/N), strictly inside (-2, 2)
-        while self._count_roots(lo, hi) > 1:
-            mid = (lo + hi) / 2
-            if self._count_roots(mid, hi) >= 1:
-                lo = mid
-            else:
-                hi = mid
-        assert self._count_roots(lo, hi) == 1
-        return lo, hi
-
-    def _refine_interval(self):
-        mid = (self._lo + self._hi) / 2
-        if self._count_roots(mid, self._hi) == 1:
-            self._lo = mid
-        else:
-            self._hi = mid
 
     def _reduction_rows(self):
         d = self.degree
@@ -245,9 +164,6 @@ class CycloField:
         coeffs[0] = Fraction(x)
         return CycloElement(self, tuple(coeffs))
 
-    def isolating_interval(self):
-        return self._lo, self._hi
-
     def two_cos_pi_over(self, m: int) -> CycloElement:
         """2cos(pi/m) as an element, for any m dividing N."""
         if self.n % m != 0:
@@ -272,19 +188,6 @@ class CycloField:
                 for j in range(d):
                     out[j] += c * row[j]
         return tuple(out)
-
-    def sign(self, elem: CycloElement) -> int:
-        if all(c == 0 for c in elem.coeffs):
-            return 0
-        # a nonzero polynomial of degree < deg(min_poly) cannot vanish at gamma
-        for _ in range(100000):
-            lo, hi = _frac_poly_eval_interval(elem.coeffs, self._lo, self._hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self._refine_interval()
-        raise AssertionError("sign determination did not converge")
 
     def __repr__(self):
         return f"CycloField(N={self.n}, degree={self.degree})"
@@ -329,9 +232,6 @@ class CycloElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def sign(self) -> int:
-        return self.field.sign(self)
 
     def __repr__(self):
         return f"CycloElement{self.coeffs}"

@@ -59,55 +59,6 @@ def primes_below(start: int, count: int) -> list[int]:
     return out
 
 
-class PrimeFieldElement:
-    """A residue with its modulus.  0 <= value < modulus; modulus an odd prime."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        if not is_prime(modulus):
-            raise ValueError(f"{modulus} is not prime")
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return PrimeFieldElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PrimeFieldElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return PrimeFieldElement(self.value * other.value, self.modulus)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return PrimeFieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeFieldElement)
-            and self.value == other.value
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
 # ---------------------------------------------------------------------------
 # Vectorized Montgomery arithmetic (R = 2^64).
 

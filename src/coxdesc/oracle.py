@@ -29,7 +29,7 @@ from .descent import (
     y_to_x,
 )
 from .errors import GroupTooLargeError
-from .exact import rational_to_string
+from .exact import lcm, rational_to_string
 from .modular import (
     DEFAULT_PRIMES,
     charpoly_mod,
@@ -77,36 +77,42 @@ def convolve(group: CoxeterSystem, a: GroupAlgebraElement,
     return GroupAlgebraElement(out)
 
 
-def regular_rep(group: CoxeterSystem, d: DescentElement):
-    """R_W(d): entry (w, w') = coefficient of w w'^-1 in the expansion.
-
-    Acting on coordinate vectors this is left multiplication by d.  Refused
-    for |W| > 20000 (quadratic memory).
-    """
-    n = group.order
+def _require_rep_size(n: int):
     if n > REGULAR_REP_CAP:
         raise GroupTooLargeError(
             f"regular representation refused for |W| = {n} > {REGULAR_REP_CAP}")
-    coeffs = expand(group, d)
-    cvec = [coeffs.coeff(w) for w in range(n)]
-    rows = [[Fraction(0)] * n for _ in range(n)]
+
+
+def _regular_rep_array(group: CoxeterSystem, cvec: np.ndarray) -> np.ndarray:
+    """The R_W builder: entry (w, w') = cvec[w w'^-1], one column at a time.
+
+    cvec holds a group-algebra element per element index; its dtype is the
+    matrix dtype.  Refused for |W| > REGULAR_REP_CAP (quadratic memory).
+    """
+    n = group.order
+    _require_rep_size(n)
+    mat = np.empty((n, n), dtype=cvec.dtype)
     for j in range(n):
         col = group.right_translation(group.inverse[j])
-        for i in range(n):
-            c = cvec[col[i]]
-            if c:
-                rows[i][j] = c
-    return rows
+        mat[:, j] = cvec[np.asarray(col, dtype=np.intp)]
+    return mat
+
+
+def regular_rep(group: CoxeterSystem, d: DescentElement):
+    """R_W(d) as Fraction rows: entry (w, w') = coefficient of w w'^-1.
+
+    Acting on coordinate vectors this is left multiplication by d.  Refused
+    for |W| > REGULAR_REP_CAP.
+    """
+    coeffs = expand(group, d)
+    cvec = np.array([coeffs.coeff(w) for w in range(group.order)], dtype=object)
+    return _regular_rep_array(group, cvec).tolist()
 
 
 def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
     """(D, integer coefficient list of D*d expanded), D = lcm of denominators."""
-    from math import gcd
-
     dx = y_to_x(d, group.rank)
-    den = 1
-    for c in dx.coeffs.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in dx.coeffs.values()))
     coeffs = expand(group, dx)
     out = [0] * group.order
     for w, c in coeffs.coeffs.items():
@@ -118,13 +124,8 @@ def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
 
 def _regular_rep_mod(group: CoxeterSystem, int_coeffs, p: int) -> np.ndarray:
     """R_W of an integer-coefficient element, reduced mod p, as uint64."""
-    n = group.order
     cmod = np.array([c % p for c in int_coeffs], dtype=np.uint64)
-    mat = np.empty((n, n), dtype=np.uint64)
-    for j in range(n):
-        col = group.right_translation(group.inverse[j])
-        mat[:, j] = cmod[np.asarray(col, dtype=np.intp)]
-    return mat
+    return _regular_rep_array(group, cmod)
 
 
 def _predicted_charpoly_mod(factors, p: int, degree: int):
@@ -200,9 +201,7 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
     coefficient bound, making the match an exact integer identity.
     """
     n = group.order
-    if n > REGULAR_REP_CAP:
-        raise GroupTooLargeError(
-            f"regular representation refused for |W| = {n} > {REGULAR_REP_CAP}")
+    _require_rep_size(n)  # fail before building the atlas and spectrum
     atlas = atlas or ParabolicAtlas(group)
     rep = spectrum(d, atlas, constants)
     den, int_coeffs = _scaled_integer_coeffs(group, d)

@@ -15,10 +15,6 @@ def iter_subsets(rank: int):
     return range(1 << rank)
 
 
-def subset_size(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def subset_indices(mask: int) -> list[int]:
     """0-based generator indices of a mask, ascending."""
     out = []

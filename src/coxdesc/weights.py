@@ -13,8 +13,8 @@ from random import Random
 
 from .coxeter import CoxeterSpec
 from .descent import DescentElement
-from .exact import rational_from_string, rational_to_string
-from .subsets import iter_subsets, subset_from_name, subset_indices, subset_name
+from .exact import rational_from_string
+from .subsets import iter_subsets, subset_from_name, subset_indices
 
 
 def load_weight_file(path: str, rank: int) -> DescentElement:
@@ -41,14 +41,6 @@ def weights_from_dict(data: dict, rank: int) -> DescentElement:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad rational for key {key!r}: {val!r}") from None
     return DescentElement(basis, coeffs)
-
-
-def weights_to_dict(d: DescentElement) -> dict:
-    return {
-        "basis": d.basis,
-        "weights": {subset_name(m): rational_to_string(c)
-                    for m, c in sorted(d.coeffs.items())},
-    }
 
 
 def preset_uniform(rank: int) -> DescentElement:

@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+import os
+import sys
 
-from coxdesc import cli
+import pytest
+
+from coxdesc import cache, cli
+from coxdesc.coxeter import CoxeterSpec, build_group
 from coxdesc.errors import GroupTooLargeError
 
 
@@ -276,3 +281,55 @@ def test_cache_used_by_cli(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.glob("group-*.json"))
     code, out2, _ = run_cli(capsys, "group", "B2", "--format", "json")
     assert out1 == out2
+
+
+def _a2_cache_payloads():
+    spec = CoxeterSpec.from_name("A2")
+    perms = [list(p) for p in build_group(spec).gen_perms]
+    good = {"version": cache.CACHE_VERSION, "spec_key": spec.canonical_key(),
+            "gen_perms": perms}
+    n = len(perms[0])
+    cycle = [(x + 1) % n for x in range(n)]
+    return {
+        "not-a-dict": [good],
+        "no-gen-perms": {k: v for k, v in good.items() if k != "gen_perms"},
+        "perms-not-a-list": {**good, "gen_perms": "gen_perms"},
+        "wrong-count": {**good, "gen_perms": perms[:1]},
+        "not-a-permutation": {**good, "gen_perms": [[0] * n, perms[1]]},
+        "not-an-involution": {**good, "gen_perms": [cycle, perms[1]]},
+        "mixed-lengths": {**good, "gen_perms": [perms[0], perms[1][:-1]]},
+        "string-entries": {**good, "gen_perms": [[str(x) for x in p] for p in perms]},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_a2_cache_payloads()))
+def test_malformed_cache_file_is_rebuilt(tmp_path, capsys, case):
+    spec = CoxeterSpec.from_name("A2")
+    _, want, _ = run_cli(capsys, "group", "A2", "--no-cache")
+    path = cache._path(spec, str(tmp_path))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_a2_cache_payloads()[case], fh)
+    code, out, err = run_cli(capsys, "group", "A2", "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, want, "")
+    assert cache.load(spec, str(tmp_path)) == build_group(spec).gen_perms
+
+
+def test_cache_save_does_not_use_a_fixed_temp_name(tmp_path, capsys):
+    spec = CoxeterSpec.from_name("A2")
+    os.makedirs(cache._path(spec, str(tmp_path)) + ".tmp")
+    code, _, err = run_cli(capsys, "group", "A2", "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert cache.load(spec, str(tmp_path)) is not None
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipe_is_not_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["group", "A2", "--no-cache"])
+    sys.stdout.close()  # the stream the CLI switched to
+    assert code == 0
+    assert capsys.readouterr().err == ""

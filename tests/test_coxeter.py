@@ -106,7 +106,7 @@ def test_descent_sets(group_factory):
 
 
 def test_length_equals_root_count(group_factory):
-    for name in ("A2", "B2", "H3"):
+    for name in ("A2", "A3", "B2", "B3", "D4", "H3", "I2(7)", "I2(12)"):
         g = group_factory(name)
         for w in range(g.order):
             assert g.length[w] == g.length_by_roots(w)
@@ -114,6 +114,34 @@ def test_length_equals_root_count(group_factory):
     rng = random.Random(1)
     for w in [0, f4.longest] + [rng.randrange(f4.order) for _ in range(50)]:
         assert f4.length[w] == f4.length_by_roots(w)
+
+
+# Explicit matrices for groups without a CLI name (as in perfbench/workloads.py).
+EXPLICIT_MATRICES = {
+    "H4": [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+    "B5": [[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 3, 2],
+           [2, 2, 3, 1, 4], [2, 2, 2, 4, 1]],
+    "D5": [[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 3, 3],
+           [2, 2, 3, 1, 2], [2, 2, 3, 2, 1]],
+}
+SIGN_GROUPS = (["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "D4",
+                "H3", "F4"] + [f"I2({m})" for m in range(2, 13)]
+               + sorted(EXPLICIT_MATRICES))
+
+
+@pytest.mark.parametrize("name", SIGN_GROUPS)
+def test_root_signs_from_closure(group_factory, name):
+    if name in EXPLICIT_MATRICES:
+        g = build_group(CoxeterSpec.from_matrix(EXPLICIT_MATRICES[name]))
+    else:
+        g = group_factory(name)
+    signs = g.root_signs
+    positive = [r for r in range(g.num_roots) if signs[r] > 0]
+    assert 2 * len(positive) == g.num_roots
+    for i, perm in enumerate(g.gen_perms):
+        # s_i sends alpha_i, and no other positive root, negative
+        assert [r for r in positive if signs[perm[r]] < 0] == [i]
+    assert g.length_by_roots(g.longest) == len(positive)
 
 
 def test_longest_element_length(group_factory):

@@ -5,7 +5,6 @@ import pytest
 
 from coxdesc.modular import (
     DEFAULT_PRIMES,
-    PrimeFieldElement,
     charpoly_mod,
     is_prime,
     poly_divides_mod,
@@ -108,23 +107,6 @@ def test_charpoly_rejects_bad_input():
     with pytest.raises(ValueError):
         charpoly_mod([[1]], 91)  # 91 = 7 * 13: pow(, -1) still works, caught by ctx
     assert charpoly_mod([], 101) == [1]
-
-
-def test_prime_field_element_ops():
-    p = 1000003
-    a = PrimeFieldElement(10 ** 12, p)
-    b = PrimeFieldElement(-5, p)
-    assert 0 <= a.value < p and 0 <= b.value < p
-    assert (a + b).value == (a.value + b.value) % p
-    assert (a - b).value == (a.value - b.value) % p
-    assert (a * b).value == (a.value * b.value) % p
-    assert (a / b * b) == a
-    with pytest.raises(ZeroDivisionError):
-        PrimeFieldElement(0, p).inverse()
-    with pytest.raises(ValueError):
-        PrimeFieldElement(1, 100)
-    with pytest.raises(ValueError):
-        a + PrimeFieldElement(1, 101)
 
 
 def test_poly_helpers():

@@ -113,6 +113,16 @@ def test_regular_rep_trace(group_factory):
             g.order * sum(d.coeffs.values())
 
 
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_regular_rep_mod_is_scaled_regular_rep(group_factory, name):
+    g = group_factory(name)
+    d = _random_element(g.rank, 5)
+    den, int_coeffs = oracle._scaled_integer_coeffs(g, d)
+    p = DEFAULT_PRIMES[0]
+    want = [[int(v * den) % p for v in row] for row in regular_rep(g, d)]
+    assert oracle._regular_rep_mod(g, int_coeffs, p).tolist() == want
+
+
 def test_regular_rep_guard(group_factory, monkeypatch):
     monkeypatch.setattr(oracle, "REGULAR_REP_CAP", 5)
     with pytest.raises(GroupTooLargeError, match="refused"):
