@@ -7,14 +7,16 @@ deterministic, so a cache load reproduces the exact same element table and
 query results as a fresh build.
 
 Location: the directory named by the COXDESC_CACHE environment variable,
-default ".coxdesc-cache".  Files are versioned JSON; stale versions and
-malformed files are ignored (the group is rebuilt and the file rewritten).
+default ".coxdesc-cache".  Files are versioned JSON; stale versions,
+malformed files and permutations that do not act like the group's generators
+are ignored (the group is rebuilt and the file rewritten).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -32,16 +34,39 @@ def _path(spec, override):
     return os.path.join(cache_dir(override), f"group-{digest}.json")
 
 
-def _valid_perms(perms, rank: int) -> bool:
+def _order(perm) -> int:
+    """Order of a permutation of range(n): lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+def _valid_perms(perms, spec) -> bool:
     """`rank` involutions of one range(n), n >= rank (an involution of
-    range(n) into itself is a permutation)."""
+    range(n) into itself is a permutation), that act like the group's
+    generators: s_i moves the simple root i, and s_i s_j has order exactly
+    m_ij on the roots."""
+    rank = spec.rank
     if not isinstance(perms, list) or len(perms) != rank:
         return False
     n = len(perms[0]) if isinstance(perms[0], list) else -1
-    return n >= rank and all(
-        isinstance(p, list) and len(p) == n
-        and all(type(x) is int and 0 <= x < n for x in p)
-        and all(p[x] == i for i, x in enumerate(p)) for p in perms)
+    if n < rank or not all(
+            isinstance(p, list) and len(p) == n
+            and all(type(x) is int and 0 <= x < n for x in p)
+            and all(p[x] == i for i, x in enumerate(p)) for p in perms):
+        return False
+    return all(perms[i][i] != i for i in range(rank)) and all(
+        _order([perms[i][x] for x in perms[j]]) == spec.matrix[i][j]
+        for i in range(rank) for j in range(i + 1, rank))
 
 
 def load(spec, override: str | None = None):
@@ -57,7 +82,7 @@ def load(spec, override: str | None = None):
     if data.get("spec_key") != spec.canonical_key():
         return None
     perms = data.get("gen_perms")
-    if not _valid_perms(perms, spec.rank):
+    if not _valid_perms(perms, spec):
         return None
     return [tuple(p) for p in perms]
 

@@ -251,9 +251,9 @@ def cmd_verify(args) -> int:
     primes = DEFAULT_PRIMES
     if args.primes:
         primes = [int(p) for p in args.primes.split(",")]
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = verify_spectrum(group, d, primes=primes, certify=args.certify)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     data = verdict.to_json_dict()
     data["seconds"] = round(dt, 3)
     if args.format == "json":
@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--weights", help="JSON weight file")
     p.add_argument("--preset", help="uniform | qmaj:Q | desx:X1,..,Xn")
-    p.add_argument("--primes", help="comma-separated prime moduli")
+    p.add_argument("--primes",
+                   help="comma-separated prime moduli p, |W| < p < 2^62")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random weights when none are given")
     p.add_argument("--certify", action="store_true",

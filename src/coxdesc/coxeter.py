@@ -344,14 +344,6 @@ class CoxeterSystem:
             self._mult_rows[u] = row
         return row
 
-    def right_translation(self, v: int) -> list[int]:
-        """Column of the multiplication table: index of w*v for every w."""
-        col = list(range(self.order))
-        for i in self.word(v):
-            rt = self.right_table
-            col = [rt[x][i] for x in col]
-        return col
-
     @property
     def conj_gen(self) -> list[list[int]]:
         """conj_gen[w][i] = index of w s_i w^-1."""

@@ -1,10 +1,17 @@
 """Brute-force spectral verification through the regular representation.
 
-The check: expand a descent element into the group algebra, form the |W|x|W|
-left-multiplication matrix, and compare its characteristic polynomial with
-the predicted product of (t - Delta_j)^(m_j), exactly, modulo one or more
-62-bit primes.  Denominators are cleared first by scaling the element by the
-common denominator D, which scales every eigenvalue by D as well.
+The check: expand a descent element d into the group algebra and compare the
+characteristic polynomial of its |W| x |W| left-multiplication matrix R_W(d)
+with the predicted product of (t - Delta_j)^(m_j), exactly, modulo one or
+more primes |W| < p < 2^62.  Denominators are cleared first by scaling the
+element by the common denominator D, which scales every eigenvalue by D.
+
+The matrix is never formed.  R_W(a) has constant diagonal a(e), so its power
+sums are tr R_W(a)^k = |W| [e] a^k, computed with about 2 sqrt(|W|)
+convolutions in the group algebra (baby steps a^j, giant steps a^(bi)).  For
+p > |W| Newton's identities make two monic degree-|W| polynomials agree mod
+p exactly when their first |W| power sums do, so the power sums are compared
+with sum_j m_j (D Delta_j)^k.
 
 The default (a fixed list of 3 primes) is a probabilistic identity check;
 certified mode adds primes until their product exceeds twice the Hadamard
@@ -14,6 +21,7 @@ identity exact.  Per-prime runs are independent and share no mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +41,7 @@ from .exact import lcm, rational_to_string
 from .modular import (
     DEFAULT_PRIMES,
     charpoly_mod,
+    is_prime,
     poly_divides_mod,
     poly_squarefree_part_mod,
     primes_below,
@@ -83,30 +92,45 @@ def _require_rep_size(n: int):
             f"regular representation refused for |W| = {n} > {REGULAR_REP_CAP}")
 
 
-def _regular_rep_array(group: CoxeterSystem, cvec: np.ndarray) -> np.ndarray:
-    """The R_W builder: entry (w, w') = cvec[w w'^-1], one column at a time.
-
-    cvec holds a group-algebra element per element index; its dtype is the
-    matrix dtype.  Refused for |W| > REGULAR_REP_CAP (quadratic memory).
-    """
-    n = group.order
-    _require_rep_size(n)
-    mat = np.empty((n, n), dtype=cvec.dtype)
-    for j in range(n):
-        col = group.right_translation(group.inverse[j])
-        mat[:, j] = cvec[np.asarray(col, dtype=np.intp)]
-    return mat
+def _require_primes(primes, n: int):
+    """Every modulus must be a prime p with |W| < p < 2^62: below that,
+    power sums stop determining the characteristic polynomial."""
+    for p in primes:
+        if not (n < p < (1 << 62) and is_prime(p)):
+            raise ValueError(
+                f"modulus {p} is not a prime p with |W| = {n} < p < 2^62")
 
 
 def regular_rep(group: CoxeterSystem, d: DescentElement):
     """R_W(d) as Fraction rows: entry (w, w') = coefficient of w w'^-1.
 
-    Acting on coordinate vectors this is left multiplication by d.  Refused
+    Acting on coordinate vectors this is left multiplication by d.  This is
+    the plain reference builder; the oracle never forms the matrix.  Refused
     for |W| > REGULAR_REP_CAP.
     """
+    _require_rep_size(group.order)
     coeffs = expand(group, d)
-    cvec = np.array([coeffs.coeff(w) for w in range(group.order)], dtype=object)
-    return _regular_rep_array(group, cvec).tolist()
+    inverse = group.inverse
+    return [[coeffs.coeff(row[v]) for v in inverse]
+            for row in map(group.mult_row, range(group.order))]
+
+
+def _index_table(group: CoxeterSystem) -> np.ndarray:
+    """T[u, w] = index of u^-1 w, so (x * y)[w] = sum_u x[u] y[T[u, w]].
+
+    The recurrence of `CoxeterSystem.mult_row` for all rows at once (column
+    w = v s_i is column v times s_i), without memoizing |W| rows of Python
+    ints.  Refused for |W| > REGULAR_REP_CAP (quadratic memory).
+    """
+    n = group.order
+    _require_rep_size(n)
+    right = np.array(group.right_table, dtype=np.intp)
+    table = np.empty((n, n), dtype=np.intp)
+    table[:, 0] = group.inverse
+    for w in range(1, n):
+        v, i = group.parent[w]
+        table[:, w] = right[table[:, v], i]
+    return table
 
 
 def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
@@ -122,26 +146,58 @@ def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
     return den, out
 
 
-def _regular_rep_mod(group: CoxeterSystem, int_coeffs, p: int) -> np.ndarray:
-    """R_W of an integer-coefficient element, reduced mod p, as uint64."""
-    cmod = np.array([c % p for c in int_coeffs], dtype=np.uint64)
-    return _regular_rep_array(group, cmod)
+def _power_sums(table: np.ndarray, int_coeffs, p: int) -> list[int]:
+    """[tr R_W(a)^k mod p for k = 1..n], a the element with these coefficients.
+
+    tr R_W(a)^k = n [e] a^k.  With b = isqrt(n) + 1, baby steps a^0..a^(b-1)
+    and giant steps a^0, a^b, a^(2b), .. cost about 2 sqrt(n) convolutions;
+    then [e] a^(bi+j) = sum_u a^(bi)(u) a^j(u^-1) is one row-times-column
+    product per k.  Entries are Python ints below p, in numpy object arrays.
+    """
+    n = len(int_coeffs)
+    b = math.isqrt(n) + 1
+
+    def times(x, y):
+        return x @ y[table] % p
+
+    a = np.array([c % p for c in int_coeffs], dtype=object)
+    one = np.zeros(n, dtype=object)
+    one[0] = 1
+    baby = [one, a]
+    while len(baby) < b:
+        baby.append(times(baby[-1], a))
+    step = times(baby[-1], a)
+    giant = [one, step]
+    while len(giant) * b <= n:
+        giant.append(times(giant[-1], step))
+    inverse = table[:, 0]
+    traces = np.array(giant) @ np.array(baby)[:, inverse].T
+    return [n * t % p for t in traces.ravel()[1:n + 1].tolist()]
 
 
-def _predicted_charpoly_mod(factors, p: int, degree: int):
-    """prod (t - root)^mult mod p as ascending coefficients of that degree."""
-    poly = [1]
+def _predicted_power_sums(factors, p: int, n: int) -> list[int]:
+    """[sum of mult * root^k mod p over (root, mult) for k = 1..n]."""
+    sums = [0] * n
     for root, mult in factors:
-        r = root % p
-        for _ in range(mult):
-            nxt = [0] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                if c:
-                    nxt[i + 1] = (nxt[i + 1] + c) % p
-                    nxt[i] = (nxt[i] - r * c) % p
-            poly = nxt
-    assert len(poly) == degree + 1
-    return poly
+        x = 1
+        for k in range(n):
+            x = x * root % p
+            sums[k] += mult * x
+    return [s % p for s in sums]
+
+
+def _charpoly_from_power_sums(sums, p: int) -> list[int]:
+    """det(tI - M) mod p, ascending, from s_k = tr M^k for k = 1..n.
+
+    Newton's identities: k c_(n-k) = -sum_(i=1..k) s_i c_(n-k+i), c_n = 1;
+    dividing by k needs p > n.
+    """
+    n = len(sums)
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = sum(s * c[n - k + i] for i, s in enumerate(sums[:k], 1))
+        c[n - k] = -acc * pow(k, -1, p) % p
+    return c
 
 
 def _hadamard_coeff_bound(int_coeffs, n: int) -> int:
@@ -195,13 +251,16 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
                     constants: StructureConstants | None = None) -> VerificationVerdict:
     """Check charpoly(R_W(d)) == prod (t - Delta_j)^(m_j) modulo each prime.
 
-    Primes dividing the weight denominators are skipped (with a notice in the
+    Every prime must satisfy |W| < p < 2^62 (ValueError otherwise).  Primes
+    dividing the weight denominators are skipped (with a notice in the
     verdict); it is an error if every prime is skipped.  In certified mode
     extra primes are appended until their product exceeds twice the Hadamard
     coefficient bound, making the match an exact integer identity.
     """
     n = group.order
     _require_rep_size(n)  # fail before building the atlas and spectrum
+    prime_list = list(primes)
+    _require_primes(prime_list, n)
     atlas = atlas or ParabolicAtlas(group)
     rep = spectrum(d, atlas, constants)
     den, int_coeffs = _scaled_integer_coeffs(group, d)
@@ -211,7 +270,6 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
         scaled = dv * den
         assert scaled.denominator == 1
         factors.append((int(scaled), m))
-    prime_list = list(primes)
     if certify:
         bound = 2 * _hadamard_coeff_bound(int_coeffs, n)
         prod = 1
@@ -220,21 +278,20 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
                 prod *= p
         cursor = min(prime_list)
         while prod <= bound:
-            extra = primes_below(cursor, 1)[0]
-            prime_list.append(extra)
-            if den % extra:
-                prod *= extra
-            cursor = extra
+            cursor = primes_below(cursor, 1)[0]
+            _require_primes([cursor], n)
+            prime_list.append(cursor)
+            if den % cursor:
+                prod *= cursor
+    table = _index_table(group)
     used, matched, skipped = [], [], []
     for p in prime_list:
         if den % p == 0:
             skipped.append(p)
             continue
-        mat = _regular_rep_mod(group, int_coeffs, p)
-        got = charpoly_mod(mat, p)
-        want = _predicted_charpoly_mod(factors, p, n)
+        got = _power_sums(table, int_coeffs, p)
         used.append(p)
-        matched.append(got == want)
+        matched.append(got == _predicted_power_sums(factors, p, n))
     if not used:
         raise ValueError("all primes divide the weight denominators")
     dx = y_to_x(d, group.rank)
@@ -262,20 +319,24 @@ def verify_lemma_same_spectrum(group: CoxeterSystem, d: DescentElement,
     """Do R_W(d) and the descent-algebra action matrix have equal root sets?
 
     Compared through mutual divisibility of the squarefree parts of the two
-    characteristic polynomials modulo each usable prime.  All multiplicities
-    here are below every 62-bit prime, so mod-p squarefree parts are exact.
+    characteristic polynomials modulo each usable prime, the one of R_W(d)
+    from its power sums by Newton's identities.  Every prime exceeds |W|, so
+    all multiplicities are below it and mod-p squarefree parts are exact.
     """
+    prime_list = list(primes)
+    _require_primes(prime_list, group.order)
     constants = constants or StructureConstants(group)
     den, int_coeffs = _scaled_integer_coeffs(group, d)
     act, _, _ = action_matrix(d, constants)
     act_int = [[v * den for v in row] for row in act]
     assert all(v.denominator == 1 for row in act_int for v in row)
+    table = _index_table(group)
     used = 0
-    for p in primes:
+    for p in prime_list:
         if den % p == 0:
             continue
         used += 1
-        rp = charpoly_mod(_regular_rep_mod(group, int_coeffs, p), p)
+        rp = _charpoly_from_power_sums(_power_sums(table, int_coeffs, p), p)
         mp = charpoly_mod([[int(v) % p for v in row] for row in act_int], p)
         sr = poly_squarefree_part_mod(rp, p)
         sm = poly_squarefree_part_mod(mp, p)

@@ -209,6 +209,21 @@ def test_verify_custom_primes(capsys):
     assert json.loads(out)["primes"] == [1000003, 2097169]
 
 
+@pytest.mark.parametrize("args", [
+    ("A3", "--primes", "23"),
+    ("A3", "--primes", "25"),
+    ("A3", "--primes", str(2 ** 62 + 135)),  # a prime, but not below 2^62
+    ("A3", "--primes", "1000003,24"),
+    ("A2", "--primes", "7", "--certify"),    # certified primes run below |W|
+], ids=["at-most-order", "not-prime", "not-below-2^62", "one-of-two",
+        "certify-runs-below-order"])
+def test_verify_rejects_bad_primes(capsys, args):
+    code, out, err = run_cli(capsys, "verify", *args, "--no-cache")
+    order = 24 if args[0] == "A3" else 6
+    assert (code, out) == (2, "")
+    assert f"|W| = {order} < p < 2^62" in err
+
+
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     from coxdesc import oracle as oracle_mod
 
@@ -299,6 +314,9 @@ def _a2_cache_payloads():
         "not-an-involution": {**good, "gen_perms": [cycle, perms[1]]},
         "mixed-lengths": {**good, "gen_perms": [perms[0], perms[1][:-1]]},
         "string-entries": {**good, "gen_perms": [[str(x) for x in p] for p in perms]},
+        "identity-perms": {**good, "gen_perms": [list(range(n))] * 2},
+        "b2-perms": {**good, "gen_perms": [list(p) for p in build_group(
+            CoxeterSpec.from_name("B2")).gen_perms]},
     }
 
 

@@ -127,22 +127,3 @@ def test_poly_helpers():
     assert poly_divides_mod(sf, f, p)
     assert not poly_divides_mod(f, sf, p)
 
-
-def test_mulmod_kernel_against_python_ints():
-    from coxdesc.modular import _MontCtx, _mont_mul, _M32, _S32
-    import numpy as np
-
-    rng = random.Random(17)
-    for p in (DEFAULT_PRIMES[0], (1 << 61) - 1 - 30, 2097169, 1000003, 101):
-        while not is_prime(p):
-            p += 2
-        ctx = _MontCtx(p)
-        vals = [0, 1, 2, p - 1, p - 2, p // 2, (1 << 32) - 1, 1 << 32]
-        vals = [v % p for v in vals] + [rng.randrange(p) for _ in range(2000)]
-        a = np.array(vals, dtype=np.uint64)
-        b = np.array(list(reversed(vals)), dtype=np.uint64)
-        r2 = np.uint64(ctx.r2_int)
-        bm = _mont_mul(b, r2 >> _S32, r2 & _M32, ctx)
-        got = _mont_mul(a, bm >> _S32, bm & _M32, ctx)
-        expect = [(int(x) * int(y)) % p for x, y in zip(a.tolist(), b.tolist())]
-        assert got.tolist() == expect

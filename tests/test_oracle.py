@@ -1,11 +1,13 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from coxdesc.descent import DescentElement, multiply, spectrum
 from coxdesc.errors import GroupTooLargeError
-from coxdesc.modular import DEFAULT_PRIMES
+from coxdesc.modular import DEFAULT_PRIMES, charpoly_mod
 from coxdesc import oracle
 from coxdesc.oracle import (
     GroupAlgebraElement,
@@ -114,13 +116,16 @@ def test_regular_rep_trace(group_factory):
 
 
 @pytest.mark.parametrize("name", ["B3", "H3"])
-def test_regular_rep_mod_is_scaled_regular_rep(group_factory, name):
+def test_power_sum_charpoly_matches_regular_rep(group_factory, name):
+    # Newton's identities on the group-algebra power sums against the
+    # Hessenberg charpoly of the explicit matrix R_W(D d)
     g = group_factory(name)
     d = _random_element(g.rank, 5)
     den, int_coeffs = oracle._scaled_integer_coeffs(g, d)
     p = DEFAULT_PRIMES[0]
-    want = [[int(v * den) % p for v in row] for row in regular_rep(g, d)]
-    assert oracle._regular_rep_mod(g, int_coeffs, p).tolist() == want
+    sums = oracle._power_sums(oracle._index_table(g), int_coeffs, p)
+    mat = [[int(v * den) for v in row] for row in regular_rep(g, d)]
+    assert oracle._charpoly_from_power_sums(sums, p) == charpoly_mod(mat, p)
 
 
 def test_regular_rep_guard(group_factory, monkeypatch):
@@ -188,6 +193,30 @@ def test_verify_uniform_h3(group_factory, atlas_factory):
     assert sorted(m for _, m in v.predicted_factors) == [1, 15, 15, 20, 24, 45]
 
 
+def _shift_last_delta(rep):
+    return dataclasses.replace(
+        rep, delta_values=rep.delta_values[:-1] + [rep.delta_values[-1] + 1])
+
+
+def _move_one_multiplicity(rep):
+    m = list(rep.multiplicities)
+    m[0] += 1
+    m[-1] -= 1
+    return dataclasses.replace(rep, multiplicities=m)
+
+
+@pytest.mark.parametrize("corrupt", [_shift_last_delta, _move_one_multiplicity])
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_verify_spectrum_rejects_a_wrong_spectrum(group_factory, atlas_factory,
+                                                  monkeypatch, name, corrupt):
+    real = oracle.spectrum
+    monkeypatch.setattr(oracle, "spectrum",
+                        lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+    v = verify_spectrum(group_factory(name), _random_element(3, 11),
+                        atlas=atlas_factory(name))
+    assert v.matched == [False] * len(DEFAULT_PRIMES)
+
+
 def test_predicted_charpoly_degree(group_factory, atlas_factory):
     g = group_factory("B3")
     rep = spectrum(_random_element(3, 8), atlas_factory("B3"))
@@ -199,6 +228,9 @@ def test_lemma_same_spectrum(group_factory, name):
     g = group_factory(name)
     assert verify_lemma_same_spectrum(g, _random_element(g.rank, 9))
     assert verify_lemma_same_spectrum(g, DescentElement.unit(g.rank))
+    with pytest.raises(ValueError, match=re.escape(f"|W| = {g.order} <")):
+        verify_lemma_same_spectrum(g, DescentElement.unit(g.rank),
+                                   primes=[DEFAULT_PRIMES[0], g.order - 1])
 
 
 @pytest.mark.parametrize("name", ["D4", "A4", "I2(7)"])
