@@ -9,7 +9,11 @@ query results as a fresh build.
 Location: the directory named by the COXDESC_CACHE environment variable,
 default ".coxdesc-cache".  Files are versioned JSON; stale versions,
 malformed files and permutations that do not act like the group's generators
-are ignored (the group is rebuilt and the file rewritten).
+are ignored (the group is rebuilt and the file rewritten).  A file that is
+used holds `rank` involutions of one root set in which s_i moves root i and
+s_i s_j has order m_ij, and every element of the group they generate is
+fixed by its images of the simple roots, the key CoxeterSystem enumerates
+by; so a cache load can merge no two elements.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ def _order(perm) -> int:
 def _valid_perms(perms, spec) -> bool:
     """`rank` involutions of one range(n), n >= rank (an involution of
     range(n) into itself is a permutation), that act like the group's
-    generators: s_i moves the simple root i, and s_i s_j has order exactly
-    m_ij on the roots."""
+    generators: s_i moves the simple root i, s_i s_j has order exactly m_ij
+    on the roots, and the simple roots identify elements."""
     rank = spec.rank
     if not isinstance(perms, list) or len(perms) != rank:
         return False
@@ -66,7 +70,35 @@ def _valid_perms(perms, spec) -> bool:
         return False
     return all(perms[i][i] != i for i in range(rank)) and all(
         _order([perms[i][x] for x in perms[j]]) == spec.matrix[i][j]
-        for i in range(rank) for j in range(i + 1, rank))
+        for i in range(rank) for j in range(i + 1, rank)
+    ) and _simple_roots_identify(perms, rank)
+
+
+def _simple_roots_identify(perms, rank) -> bool:
+    """Does every element of the group the permutations generate follow from
+    its images of the simple roots 0..rank-1 (the key CoxeterSystem uses)?
+
+    True when every root x is reached from a simple root, and the reflection
+    t_x, set to s_i on root i and to s_i t_x s_i on s_i x, is well defined.
+    Then t_(w alpha_i) = w s_i w^-1, so w(s_i x) = t_(w alpha_i)(w x), and by
+    induction along the reaching paths w is fixed on every root.
+    """
+    n = len(perms[0])
+    refl = {i: tuple(perms[i]) for i in range(rank)}
+    frontier = list(range(rank))
+    while frontier:
+        nxt = []
+        for x in frontier:
+            tx = refl[x]
+            for p in perms:
+                t = tuple([p[tx[p[z]]] for z in range(n)])
+                got = refl.setdefault(p[x], t)
+                if got is t:
+                    nxt.append(p[x])
+                elif got != t:
+                    return False
+        frontier = nxt
+    return len(refl) == n
 
 
 def load(spec, override: str | None = None):

@@ -3,9 +3,12 @@
 A group is built from its Coxeter matrix through the geometric realization:
 the root system is closed under the simple reflections with exact coordinates
 in Q(2cos(pi/N)), N = lcm of the bond labels, and each group element is
-stored as the permutation it induces on the finite root set.  Element
-identity is the root permutation; everything after the build is integer
-table work.
+stored as the permutation it induces on the finite root set.  The geometric
+representation is faithful and the simple roots are a basis (Humphreys,
+Reflection Groups and Coxeter Groups, 5.3-5.4), so an element is identified
+by its images of the simple roots, root indices 0..rank-1: `index` is keyed
+by those rank images, and products are composed only there.  Everything
+after the build is integer table work.
 
 CoxeterSystem and ParabolicAtlas are immutable once built (the lazy caches
 are guarded), so instances can be shared freely across threads; the build
@@ -92,12 +95,15 @@ class CoxeterSpec:
 
     @staticmethod
     def from_matrix(matrix, type_tag=None) -> "CoxeterSpec":
+        if not isinstance(matrix, (list, tuple)) or not matrix:
+            raise ValueError("Coxeter matrix must be a non-empty list of rows")
         rank = len(matrix)
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        m = tuple(tuple(int(x) for x in row) for row in matrix)
-        if any(len(row) != rank for row in m):
+        if any(not isinstance(row, (list, tuple)) or len(row) != rank
+               for row in matrix):
             raise ValueError("Coxeter matrix must be square")
+        if any(type(x) is not int for row in matrix for x in row):
+            raise ValueError("Coxeter matrix entries must be integers")
+        m = tuple(tuple(row) for row in matrix)
         for i in range(rank):
             if m[i][i] != 1:
                 raise ValueError("Coxeter matrix diagonal must be all 1")
@@ -121,13 +127,18 @@ class CoxeterSpec:
     def from_json(data) -> "CoxeterSpec":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("spec JSON must be an object")
         if "type" in data:
+            if not isinstance(data["type"], str):
+                raise ValueError('spec "type" must be a string')
             return CoxeterSpec.from_name(data["type"])
         if "m" not in data:
             raise ValueError('spec JSON needs "type" or "m"')
-        if "rank" in data and data["rank"] != len(data["m"]):
+        spec = CoxeterSpec.from_matrix(data["m"])
+        if "rank" in data and data["rank"] != spec.rank:
             raise ValueError("rank does not match matrix size")
-        return CoxeterSpec.from_matrix(data["m"])
+        return spec
 
     def to_json(self) -> dict:
         if self.type_tag is not None:
@@ -234,9 +245,11 @@ class CoxeterSystem:
 
     def _enumerate(self, cap):
         rank = self.rank
+        gens = self.gen_perms
+        heads = [g[:rank] for g in gens]
         identity = tuple(range(self.num_roots))
         elements = [identity]
-        index = {identity: 0}
+        index = {identity[:rank]: 0}
         rt = [[0] * rank]
         length = [0]
         parent = [(-1, -1)]
@@ -246,15 +259,15 @@ class CoxeterSystem:
             for w in frontier:
                 pw = elements[w]
                 row = rt[w]
-                for i in range(rank):
-                    key = tuple(pw[x] for x in self.gen_perms[i])
+                for i, head in enumerate(heads):
+                    key = tuple([pw[x] for x in head])
                     idx = index.get(key)
                     if idx is None:
                         idx = len(elements)
                         if idx >= cap:
                             raise GroupTooLargeError("group too large or infinite")
                         index[key] = idx
-                        elements.append(key)
+                        elements.append(tuple([pw[x] for x in gens[i]]))
                         rt.append([0] * rank)
                         length.append(length[w] + 1)
                         parent.append((w, i))
@@ -267,16 +280,14 @@ class CoxeterSystem:
         self.right_table = rt
         self.length = length
         self.parent = parent
-        # left table, inverses
-        lt = []
-        inv = [0] * self.order
-        for w, pw in enumerate(elements):
-            lt.append([index[tuple(self.gen_perms[i][x] for x in pw)]
-                       for i in range(rank)])
-            ip = [0] * self.num_roots
-            for r, x in enumerate(pw):
-                ip[x] = r
-            inv[w] = index[tuple(ip)]
+        # for w = v s_i: s_j w = (s_j v) s_i and w^-1 = s_i v^-1, where v and
+        # v^-1 are shorter than w, so they precede it in BFS order
+        lt = [list(rt[0])]
+        inv = [0]
+        for w in range(1, self.order):
+            v, i = parent[w]
+            lt.append([rt[x][i] for x in lt[v]])
+            inv.append(lt[inv[v]][i])
         self.left_table = lt
         self.inverse = inv
         full = (1 << rank) - 1
@@ -306,7 +317,7 @@ class CoxeterSystem:
         if row is not None:
             return row[b]
         pa, pb = self.elements[a], self.elements[b]
-        return self.index[tuple(pa[x] for x in pb)]
+        return self.index[tuple([pa[x] for x in pb[:self.rank]])]
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -352,11 +363,9 @@ class CoxeterSystem:
                 if self._conj_gen is None:
                     table = []
                     for w, pw in enumerate(self.elements):
-                        ip = self.elements[self.inverse[w]]
-                        table.append([
-                            self.index[tuple(pw[self.gen_perms[i][x]] for x in ip)]
-                            for i in range(self.rank)
-                        ])
+                        ip = self.elements[self.inverse[w]][:self.rank]
+                        table.append([self.index[tuple([pw[g[x]] for x in ip])]
+                                      for g in self.gen_perms])
                     self._conj_gen = table
         return self._conj_gen
 
@@ -659,12 +668,12 @@ class ParabolicAtlas:
             cls = self.class_of[mask]
             for x in g.min_coset_reps(mask, "right"):
                 px = g.elements[x]
-                ip = g.elements[g.inverse[x]]
+                ip = g.elements[g.inverse[x]][:g.rank]
                 for u in sub:
                     if u == 0:
                         continue
                     pu = g.elements[u]
-                    w = g.index[tuple(px[pu[r]] for r in ip)]
+                    w = g.index[tuple([px[pu[r]] for r in ip])]
                     if best_size[w] is None or size < best_size[w]:
                         best_size[w] = size
                         best_cls[w] = cls

@@ -314,7 +314,6 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
 
 def verify_lemma_same_spectrum(group: CoxeterSystem, d: DescentElement,
                                primes=DEFAULT_PRIMES,
-                               atlas: ParabolicAtlas | None = None,
                                constants: StructureConstants | None = None) -> bool:
     """Do R_W(d) and the descent-algebra action matrix have equal root sets?
 

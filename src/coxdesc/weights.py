@@ -24,6 +24,8 @@ def load_weight_file(path: str, rank: int) -> DescentElement:
 
 
 def weights_from_dict(data: dict, rank: int) -> DescentElement:
+    if not isinstance(data, dict):
+        raise ValueError("weight file must hold a JSON object")
     basis = data.get("basis", "x")
     if basis not in ("x", "y"):
         raise ValueError(f"bad basis {basis!r}")

@@ -63,6 +63,24 @@ def test_bad_matrix_file_exits_2(tmp_path, capsys):
     assert code == 2 and "symmetric" in err
 
 
+@pytest.mark.parametrize("command,option,payload", [
+    ("group", None, {"m": 5}),
+    ("group", None, {"m": [1, 2]}),
+    ("group", None, {"type": 5}),
+    ("group", None, [1, 2]),
+    ("group", None, {"m": [[1, 2.5], [2.5, 1]]}),
+    ("spectrum", "--weights", [1, 2]),
+], ids=["m-not-a-list", "rows-not-lists", "type-not-a-string",
+        "spec-not-an-object", "non-integer-bond", "weights-not-an-object"])
+def test_malformed_json_input_exits_2(tmp_path, capsys, command, option, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "A2", option, str(path)] if option else [command, f"@{path}"]
+    code, out, err = run_cli(capsys, *argv, "--no-cache")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_table_ajkk_h3_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "table", "H3", "--what", "ajkk",
                            "--no-cache", "--format", "json")
@@ -317,6 +335,15 @@ def _a2_cache_payloads():
         "identity-perms": {**good, "gen_perms": [list(range(n))] * 2},
         "b2-perms": {**good, "gen_perms": [list(p) for p in build_group(
             CoxeterSpec.from_name("B2")).gen_perms]},
+        # involutions moving root i with s1 s2 of order 3, but both send the
+        # simple roots (0, 1) to (1, 0): simple-root images fix no element
+        "simple-roots-collide": {**good, "gen_perms": [[1, 0, 4, 3, 2],
+                                                       [1, 0, 2, 4, 3]]},
+        # passes the same older checks and every root is reached from a
+        # simple root; only the reflection map t_(s_i x) = s_i t_x s_i is
+        # not well defined
+        "reflections-inconsistent": {**good, "gen_perms": [
+            [2, 3, 0, 1, 4, 5], [4, 5, 2, 3, 0, 1]]},
     }
 
 

@@ -73,7 +73,7 @@ def test_mult_row_matches_mul(group_factory):
         for _ in range(10):
             v = rng.randrange(g.order)
             pa, pb = g.elements[u], g.elements[v]
-            assert row[v] == g.index[tuple(pa[x] for x in pb)]
+            assert g.elements[row[v]] == tuple(pa[x] for x in pb)
 
 
 def test_right_multiplication_changes_length_by_one(group_factory):
@@ -142,6 +142,57 @@ def test_root_signs_from_closure(group_factory, name):
         # s_i sends alpha_i, and no other positive root, negative
         assert [r for r in positive if signs[perm[r]] < 0] == [i]
     assert g.length_by_roots(g.longest) == len(positive)
+
+
+def _full_permutation_tables(gen_perms):
+    """Reference enumeration keyed by the whole root permutation: the same
+    breadth-first order, with every product composed on all roots."""
+    identity = tuple(range(len(gen_perms[0])))
+    elements, index, length = [identity], {identity: 0}, [0]
+    right = []
+    for w, pw in enumerate(elements):  # the list grows: a BFS queue
+        row = []
+        for g in gen_perms:
+            key = tuple([pw[x] for x in g])
+            if key not in index:
+                index[key] = len(elements)
+                elements.append(key)
+                length.append(length[w] + 1)
+            row.append(index[key])
+        right.append(row)
+    left, inverse, conj = [], [], []
+    for pw in elements:
+        ip = [0] * len(pw)
+        for r, x in enumerate(pw):
+            ip[x] = r
+        left.append([index[tuple([g[x] for x in pw])] for g in gen_perms])
+        inverse.append(index[tuple(ip)])
+        conj.append([index[tuple([pw[g[x]] for x in ip])] for g in gen_perms])
+
+    def descents(table):
+        return [sum(1 << i for i, v in enumerate(row) if length[v] < length[w])
+                for w, row in enumerate(table)]
+
+    return {"elements": elements, "length": length, "right_table": right,
+            "left_table": left, "inverse": inverse, "des_r": descents(right),
+            "des_l": descents(left), "conj_gen": conj}
+
+
+@pytest.mark.parametrize("name", SIGN_GROUPS)
+def test_simple_root_key_matches_full_permutations(group_factory, name):
+    if name in EXPLICIT_MATRICES:
+        g = build_group(CoxeterSpec.from_matrix(EXPLICIT_MATRICES[name]))
+    else:
+        g = group_factory(name)
+    ref = _full_permutation_tables(g.gen_perms)
+    for attr, want in ref.items():
+        assert getattr(g, attr) == want, attr
+    assert len(g.index) == g.order
+    rng = random.Random(2)
+    for _ in range(50):
+        a, b = rng.randrange(g.order), rng.randrange(g.order)
+        pa, pb = g.elements[a], g.elements[b]
+        assert g.elements[g.mul(a, b)] == tuple(pa[x] for x in pb)
 
 
 def test_longest_element_length(group_factory):
