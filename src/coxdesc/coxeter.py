@@ -344,6 +344,13 @@ class CoxeterSystem:
         row = self._mult_rows.get(u)
         if row is not None:
             return row
+        row = self.product_row(u)
+        with self._lock:
+            self._mult_rows[u] = row
+        return row
+
+    def product_row(self, u: int) -> list[int]:
+        """The same row as `mult_row`, built afresh and not memoized."""
         rt = self.right_table
         parent = self.parent
         row = [0] * self.order
@@ -351,8 +358,6 @@ class CoxeterSystem:
         for v in range(1, self.order):
             pv, i = parent[v]
             row[v] = rt[row[pv]][i]
-        with self._lock:
-            self._mult_rows[u] = row
         return row
 
     @property
@@ -651,36 +656,31 @@ class ParabolicAtlas:
         well defined and is the unique containing parabolic of minimal
         order).  These counts are the eigenvalue multiplicities of the
         regular representation of a generic descent-algebra element.
+
+        w lies in a conjugate of W_J iff its conjugacy class meets W_J, so
+        each conjugacy class gets the class of the smallest W_J it meets.
         """
         if self._closure_counts is not None:
             return list(self._closure_counts)
         g = self.group
-        n = g.order
-        best_size = [None] * n
-        best_cls = [0] * n
-        best_size[0] = 1
-        best_cls[0] = self.class_of[0]
-        for mask in self.all_masks:
-            if mask == 0:
-                continue
-            sub = sorted(g.subgroup(mask))
-            size = len(sub)
-            cls = self.class_of[mask]
-            for x in g.min_coset_reps(mask, "right"):
-                px = g.elements[x]
-                ip = g.elements[g.inverse[x]][:g.rank]
-                for u in sub:
-                    if u == 0:
-                        continue
-                    pu = g.elements[u]
-                    w = g.index[tuple([px[pu[r]] for r in ip])]
-                    if best_size[w] is None or size < best_size[w]:
-                        best_size[w] = size
-                        best_cls[w] = cls
+        label = [None] * g.order
+        sizes = []
+        for w in range(g.order):
+            if label[w] is None:
+                members = g.conjugacy_class(w)
+                for x in members:
+                    label[x] = len(sizes)
+                sizes.append(len(members))
+        # stable sort: among equal orders the first mask in all_masks wins
+        best = [None] * len(sizes)
+        for mask in sorted(self.all_masks, key=lambda m: len(g.subgroup(m))):
+            for u in g.subgroup(mask):
+                if best[label[u]] is None:
+                    best[label[u]] = self.class_of[mask]
+        assert None not in best
         counts = [0] * self.p
-        for w in range(n):
-            assert best_size[w] is not None
-            counts[best_cls[w]] += 1
+        for cls, size in zip(best, sizes):
+            counts[cls] += size
         with self._lock:
             self._closure_counts = counts
         return list(counts)

@@ -6,12 +6,25 @@ with the predicted product of (t - Delta_j)^(m_j), exactly, modulo one or
 more primes |W| < p < 2^62.  Denominators are cleared first by scaling the
 element by the common denominator D, which scales every eigenvalue by D.
 
-The matrix is never formed.  R_W(a) has constant diagonal a(e), so its power
-sums are tr R_W(a)^k = |W| [e] a^k, computed with about 2 sqrt(|W|)
-convolutions in the group algebra (baby steps a^j, giant steps a^(bi)).  For
+The matrix is never formed, and there is no convolution and no |W| x |W|
+table.  R_W(a) has constant diagonal a(e), so tr R_W(a)^k = |W| [e] a^k.  The
+expansion of D d is constant on the right-descent classes C_K = {w :
+Des_R(w) = K}, and the descent algebra is a subalgebra of the group algebra
+(L. Solomon, "A Mackey formula in the group ring of a Coxeter group",
+J. Algebra 41, 1976), so every power a^k is too.  Products of such elements
+are read from the counts N[K][K1][K2] = #{u : Des_R(u) = K1, Des_R(u^-1 w_K)
+= K2} at one member w_K of each class, one multiplication row per class, and
+[e] a^k is an entry of the k-th power of a 2^rank x 2^rank matrix mod p.  For
 p > |W| Newton's identities make two monic degree-|W| polynomials agree mod
 p exactly when their first |W| power sums do, so the power sums are compared
-with sum_j m_j (D Delta_j)^k.
+with sum_j m_j (D Delta_j)^k.  The counts use only `mult_row`, `inverse` and
+`des_r`, never the structure constants or the parabolic atlas under test.
+
+The reduction is checked, never assumed: the scaled coefficients must be
+equal on every C_K, and N[K] must be equal at other members of C_K: at every
+member in certified mode (O(|W|^2) work, O(|W|) memory), otherwise at the
+middle and the last member of each class.  A difference raises
+InvariantError.
 
 The default (a fixed list of 3 primes) is a probabilistic identity check;
 certified mode adds primes until their product exceeds twice the Hadamard
@@ -21,11 +34,10 @@ identity exact.  Per-prime runs are independent and share no mutable state.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .coxeter import CoxeterSystem, ParabolicAtlas
 from .descent import (
@@ -36,7 +48,7 @@ from .descent import (
     spectrum,
     y_to_x,
 )
-from .errors import GroupTooLargeError
+from .errors import GroupTooLargeError, InvariantError
 from .exact import lcm, rational_to_string
 from .modular import (
     DEFAULT_PRIMES,
@@ -94,11 +106,16 @@ def _require_rep_size(n: int):
 
 def _require_primes(primes, n: int):
     """Every modulus must be a prime p with |W| < p < 2^62: below that,
-    power sums stop determining the characteristic polynomial."""
+    power sums stop determining the characteristic polynomial.  No modulus
+    may repeat: a repeated prime adds nothing to the certified product."""
+    seen = set()
     for p in primes:
         if not (n < p < (1 << 62) and is_prime(p)):
             raise ValueError(
                 f"modulus {p} is not a prime p with |W| = {n} < p < 2^62")
+        if p in seen:
+            raise ValueError(f"modulus {p} is repeated")
+        seen.add(p)
 
 
 def regular_rep(group: CoxeterSystem, d: DescentElement):
@@ -115,24 +132,6 @@ def regular_rep(group: CoxeterSystem, d: DescentElement):
             for row in map(group.mult_row, range(group.order))]
 
 
-def _index_table(group: CoxeterSystem) -> np.ndarray:
-    """T[u, w] = index of u^-1 w, so (x * y)[w] = sum_u x[u] y[T[u, w]].
-
-    The recurrence of `CoxeterSystem.mult_row` for all rows at once (column
-    w = v s_i is column v times s_i), without memoizing |W| rows of Python
-    ints.  Refused for |W| > REGULAR_REP_CAP (quadratic memory).
-    """
-    n = group.order
-    _require_rep_size(n)
-    right = np.array(group.right_table, dtype=np.intp)
-    table = np.empty((n, n), dtype=np.intp)
-    table[:, 0] = group.inverse
-    for w in range(1, n):
-        v, i = group.parent[w]
-        table[:, w] = right[table[:, v], i]
-    return table
-
-
 def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
     """(D, integer coefficient list of D*d expanded), D = lcm of denominators."""
     dx = y_to_x(d, group.rank)
@@ -146,33 +145,69 @@ def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
     return den, out
 
 
-def _power_sums(table: np.ndarray, int_coeffs, p: int) -> list[int]:
-    """[tr R_W(a)^k mod p for k = 1..n], a the element with these coefficients.
+def _class_coeffs(group: CoxeterSystem, int_coeffs) -> list[int]:
+    """The coefficient a_K shared by every w in C_K, indexed by the mask K.
 
-    tr R_W(a)^k = n [e] a^k.  With b = isqrt(n) + 1, baby steps a^0..a^(b-1)
-    and giant steps a^0, a^b, a^(2b), .. cost about 2 sqrt(n) convolutions;
-    then [e] a^(bi+j) = sum_u a^(bi)(u) a^j(u^-1) is one row-times-column
-    product per k.  Entries are Python ints below p, in numpy object arrays.
+    InvariantError if two members of one class differ.
     """
-    n = len(int_coeffs)
-    b = math.isqrt(n) + 1
+    out = {}
+    for k, c in zip(group.des_r, int_coeffs):
+        if out.setdefault(k, c) != c:
+            raise InvariantError(
+                f"coefficients are not constant on right-descent class {k}")
+    return [out[k] for k in range(1 << group.rank)]
 
-    def times(x, y):
-        return x @ y[table] % p
 
-    a = np.array([c % p for c in int_coeffs], dtype=object)
-    one = np.zeros(n, dtype=object)
-    one[0] = 1
-    baby = [one, a]
-    while len(baby) < b:
-        baby.append(times(baby[-1], a))
-    step = times(baby[-1], a)
-    giant = [one, step]
-    while len(giant) * b <= n:
-        giant.append(times(giant[-1], step))
-    inverse = table[:, 0]
-    traces = np.array(giant) @ np.array(baby)[:, inverse].T
-    return [n * t % p for t in traces.ravel()[1:n + 1].tolist()]
+def _descent_pairs(group: CoxeterSystem, row) -> Counter:
+    """(Des_R(u), Des_R(u^-1 w)) -> number of u in W, for row = w * (.).
+
+    Over v in W, u = w v^-1 = row[v^-1] runs over W with u^-1 w = v.
+    """
+    des = group.des_r
+    return Counter(zip([des[row[x]] for x in group.inverse], des))
+
+
+def _class_counts(group: CoxeterSystem, full: bool) -> list[Counter]:
+    """N[K] = _descent_pairs at the first (shortest) member w_K of C_K.
+
+    The class basis is sound only if N[K] is the same at every member of
+    C_K.  That is checked at every member when `full`, and otherwise at the
+    middle and the last member of each class in index order; rows for the
+    check are built without memoizing them.  InvariantError on a difference.
+    """
+    members = [[] for _ in range(1 << group.rank)]
+    for w, k in enumerate(group.des_r):
+        members[k].append(w)
+    counts = [_descent_pairs(group, group.mult_row(ws[0])) for ws in members]
+    for k, ws in enumerate(members):
+        others = ws[1:] if full else sorted({ws[len(ws) // 2], ws[-1]} - {ws[0]})
+        for w in others:
+            if _descent_pairs(group, group.product_row(w)) != counts[k]:
+                raise InvariantError(
+                    f"descent-pair counts differ within right-descent class {k}")
+    return counts
+
+
+def _power_sums(counts, coeffs, n: int, p: int) -> list[int]:
+    """[tr R_W(a)^k mod p for k = 1..n], a = sum_K coeffs[K] (sum of C_K).
+
+    a lies in the descent algebra, so every a^k does, and the vector of
+    class values of a*b is L b with L[K][K2] = sum_K1 N[K][K1][K2] a_K1.
+    The identity is the only element with no descents, so a^k = L^k e_0
+    and tr R_W(a)^k = n [e] a^k = n (L^k e_0)_0.
+    """
+    size = len(counts)
+    mat = [[0] * size for _ in range(size)]
+    for row, pairs in zip(mat, counts):
+        for (k1, k2), c in pairs.items():
+            row[k2] += c * coeffs[k1]
+    mat = [[x % p for x in row] for row in mat]
+    x = [1] + [0] * (size - 1)
+    out = []
+    for _ in range(n):
+        x = [sum(map(mul, row, x)) % p for row in mat]
+        out.append(n * x[0] % p)
+    return out
 
 
 def _predicted_power_sums(factors, p: int, n: int) -> list[int]:
@@ -251,11 +286,12 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
                     constants: StructureConstants | None = None) -> VerificationVerdict:
     """Check charpoly(R_W(d)) == prod (t - Delta_j)^(m_j) modulo each prime.
 
-    Every prime must satisfy |W| < p < 2^62 (ValueError otherwise).  Primes
-    dividing the weight denominators are skipped (with a notice in the
-    verdict); it is an error if every prime is skipped.  In certified mode
-    extra primes are appended until their product exceeds twice the Hadamard
-    coefficient bound, making the match an exact integer identity.
+    Every prime must satisfy |W| < p < 2^62 and appear once (ValueError
+    otherwise).  Primes dividing the weight denominators are skipped (with a
+    notice in the verdict); it is an error if every prime is skipped.  In
+    certified mode extra primes are appended until their product exceeds
+    twice the Hadamard coefficient bound, making the match an exact integer
+    identity, and the class counts are checked at every class member.
     """
     n = group.order
     _require_rep_size(n)  # fail before building the atlas and spectrum
@@ -283,13 +319,14 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
             prime_list.append(cursor)
             if den % cursor:
                 prod *= cursor
-    table = _index_table(group)
+    coeffs = _class_coeffs(group, int_coeffs)
+    counts = _class_counts(group, full=certify)
     used, matched, skipped = [], [], []
     for p in prime_list:
         if den % p == 0:
             skipped.append(p)
             continue
-        got = _power_sums(table, int_coeffs, p)
+        got = _power_sums(counts, coeffs, n, p)
         used.append(p)
         matched.append(got == _predicted_power_sums(factors, p, n))
     if not used:
@@ -324,18 +361,21 @@ def verify_lemma_same_spectrum(group: CoxeterSystem, d: DescentElement,
     """
     prime_list = list(primes)
     _require_primes(prime_list, group.order)
+    _require_rep_size(group.order)  # Newton's identities are O(|W|^2)
     constants = constants or StructureConstants(group)
     den, int_coeffs = _scaled_integer_coeffs(group, d)
     act, _, _ = action_matrix(d, constants)
     act_int = [[v * den for v in row] for row in act]
     assert all(v.denominator == 1 for row in act_int for v in row)
-    table = _index_table(group)
+    coeffs = _class_coeffs(group, int_coeffs)
+    counts = _class_counts(group, full=False)
     used = 0
     for p in prime_list:
         if den % p == 0:
             continue
         used += 1
-        rp = _charpoly_from_power_sums(_power_sums(table, int_coeffs, p), p)
+        rp = _charpoly_from_power_sums(
+            _power_sums(counts, coeffs, group.order, p), p)
         mp = charpoly_mod([[int(v) % p for v in row] for row in act_int], p)
         sr = poly_squarefree_part_mod(rp, p)
         sm = poly_squarefree_part_mod(mp, p)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from coxdesc import cache, cli
 from coxdesc.coxeter import CoxeterSpec, build_group
 from coxdesc.errors import GroupTooLargeError
+from coxdesc.modular import DEFAULT_PRIMES
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +242,24 @@ def test_verify_rejects_bad_primes(capsys, args):
     order = 24 if args[0] == "A3" else 6
     assert (code, out) == (2, "")
     assert f"|W| = {order} < p < 2^62" in err
+
+
+@pytest.mark.parametrize("copies,extra", [(2, ()), (40, ("--certify",))],
+                         ids=["twice", "forty-times-certified"])
+def test_verify_rejects_repeated_prime(capsys, copies, extra):
+    p = str(DEFAULT_PRIMES[0])
+    code, out, err = run_cli(capsys, "verify", "H3", "--primes",
+                             ",".join([p] * copies), *extra, "--no-cache")
+    assert (code, out) == (2, "")
+    assert f"modulus {p} is repeated" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, coxdesc.cli; sys.exit('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coxdesc.descent import DescentElement, multiply, spectrum
-from coxdesc.errors import GroupTooLargeError
+from coxdesc.errors import GroupTooLargeError, InvariantError
 from coxdesc.modular import DEFAULT_PRIMES, charpoly_mod
 from coxdesc import oracle
 from coxdesc.oracle import (
@@ -117,15 +117,69 @@ def test_regular_rep_trace(group_factory):
 
 @pytest.mark.parametrize("name", ["B3", "H3"])
 def test_power_sum_charpoly_matches_regular_rep(group_factory, name):
-    # Newton's identities on the group-algebra power sums against the
+    # Newton's identities on the class-basis power sums against the
     # Hessenberg charpoly of the explicit matrix R_W(D d)
     g = group_factory(name)
     d = _random_element(g.rank, 5)
     den, int_coeffs = oracle._scaled_integer_coeffs(g, d)
     p = DEFAULT_PRIMES[0]
-    sums = oracle._power_sums(oracle._index_table(g), int_coeffs, p)
+    sums = oracle._power_sums(oracle._class_counts(g, full=True),
+                              oracle._class_coeffs(g, int_coeffs), g.order, p)
     mat = [[int(v * den) for v in row] for row in regular_rep(g, d)]
     assert oracle._charpoly_from_power_sums(sums, p) == charpoly_mod(mat, p)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_class_power_sums_match_convolution(group_factory, name):
+    # |W| [e] a^k from Fraction convolutions in the group algebra
+    g = group_factory(name)
+    den, int_coeffs = oracle._scaled_integer_coeffs(g, _random_element(g.rank, 12))
+    p = DEFAULT_PRIMES[0]
+    sums = oracle._power_sums(oracle._class_counts(g, full=False),
+                              oracle._class_coeffs(g, int_coeffs), g.order, p)
+    a = GroupAlgebraElement(dict(enumerate(int_coeffs)))
+    x = a
+    for k in range(6):
+        assert sums[k] == g.order * x.coeff(0) % p
+        x = convolve(g, x, a)
+
+
+def _last_member(g, k_mask):
+    return max(w for w in range(g.order) if g.des_r[w] == k_mask)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
+def test_class_counts_guard(group_factory, monkeypatch, full):
+    g = group_factory("B3")
+    target = _last_member(g, 0b001)
+    real = oracle._descent_pairs
+
+    def corrupted(group, row):
+        pairs = real(group, row)
+        if row[0] == target:
+            pairs[(0b001, 0b010)] += 1
+        return pairs
+
+    monkeypatch.setattr(oracle, "_descent_pairs", corrupted)
+    with pytest.raises(InvariantError, match="class 1"):
+        oracle._class_counts(g, full=full)
+    with pytest.raises(InvariantError, match="class 1"):
+        verify_spectrum(g, _random_element(3, 13), certify=full)
+
+
+def test_class_coeffs_guard(group_factory, monkeypatch):
+    g = group_factory("B3")
+    target = _last_member(g, 0b100)
+    real = oracle.expand
+
+    def corrupted(group, d):
+        out = real(group, d)
+        out.coeffs[target] = out.coeff(target) + 1
+        return out
+
+    monkeypatch.setattr(oracle, "expand", corrupted)
+    with pytest.raises(InvariantError, match="class 4"):
+        verify_spectrum(g, _random_element(3, 14))
 
 
 def test_regular_rep_guard(group_factory, monkeypatch):
@@ -134,6 +188,8 @@ def test_regular_rep_guard(group_factory, monkeypatch):
         regular_rep(group_factory("A2"), DescentElement.unit(2))
     with pytest.raises(GroupTooLargeError, match="refused"):
         verify_spectrum(group_factory("A2"), DescentElement.unit(2))
+    with pytest.raises(GroupTooLargeError, match="refused"):
+        verify_lemma_same_spectrum(group_factory("A2"), DescentElement.unit(2))
 
 
 def test_verify_spectrum_a2(group_factory, atlas_factory):
@@ -231,6 +287,17 @@ def test_lemma_same_spectrum(group_factory, name):
     with pytest.raises(ValueError, match=re.escape(f"|W| = {g.order} <")):
         verify_lemma_same_spectrum(g, DescentElement.unit(g.rank),
                                    primes=[DEFAULT_PRIMES[0], g.order - 1])
+
+
+def test_repeated_prime_refused(group_factory):
+    # a repeated modulus would count twice toward the certified product
+    g = group_factory("A2")
+    p = DEFAULT_PRIMES[0]
+    d = DescentElement.unit(2)
+    with pytest.raises(ValueError, match=f"modulus {p} is repeated"):
+        verify_spectrum(g, d, primes=[p, DEFAULT_PRIMES[1], p], certify=True)
+    with pytest.raises(ValueError, match=f"modulus {p} is repeated"):
+        verify_lemma_same_spectrum(g, d, primes=[p, p])
 
 
 @pytest.mark.parametrize("name", ["D4", "A4", "I2(7)"])
