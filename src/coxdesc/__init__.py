@@ -21,7 +21,7 @@ from .descent import (
     y_to_x,
 )
 from .errors import GroupTooLargeError, InvariantError
-from .exact import Rational, cyclo_field, rational_from_string, rational_to_string
+from .exact import Rational, rational_from_string, rational_to_string
 from .modular import DEFAULT_PRIMES, charpoly_mod
 from .oracle import (
     GroupAlgebraElement,
@@ -42,7 +42,7 @@ __all__ = [
     "ajkk_formula", "ajkk_matrix", "ajkk_matrix_bruteforce", "action_matrix",
     "class_sizes_from_A", "multiply", "spectrum", "x_to_y", "y_to_x",
     "GroupTooLargeError", "InvariantError",
-    "Rational", "cyclo_field", "rational_from_string", "rational_to_string",
+    "Rational", "rational_from_string", "rational_to_string",
     "DEFAULT_PRIMES", "charpoly_mod",
     "GroupAlgebraElement", "VerificationVerdict", "convolve", "expand",
     "regular_rep", "verify_lemma_same_spectrum", "verify_spectrum",

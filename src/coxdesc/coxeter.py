@@ -1,9 +1,12 @@
 """Finite Coxeter groups: construction, cosets, parabolics, conjugacy.
 
-A group is built from its Coxeter matrix through the geometric realization:
-the root system is closed under the simple reflections with exact coordinates
-in Q(2cos(pi/N)), N = lcm of the bond labels, and each group element is
-stored as the permutation it induces on the finite root set.  The geometric
+A group is built from its Coxeter matrix.  The classification of the
+Coxeter graph (Humphreys, Reflection Groups and Coxeter Groups, ch. 2)
+decides up front whether W is finite and gives |W| and |Phi|; an infinite or
+oversized group is refused before any other work.  The root system of the
+geometric realization is closed under the simple reflections over a prime
+field (exact, since the closure must reach exactly |Phi| roots), and each
+element is stored as the permutation it induces on the roots.  The geometric
 representation is faithful and the simple roots are a basis (Humphreys,
 Reflection Groups and Coxeter Groups, 5.3-5.4), so an element is identified
 by its images of the simple roots, root indices 0..rank-1: `index` is keyed
@@ -20,9 +23,11 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from math import factorial, lcm
+from operator import mul
 
-from .errors import GroupTooLargeError
-from .exact import cyclo_field, lcm
+from .errors import GroupTooLargeError, InvariantError
+from .modular import prime_one_mod, root_of_unity
 from .subsets import (
     bergeron_compare,
     bergeron_sorted,
@@ -155,46 +160,126 @@ class CoxeterSpec:
 
 
 # ---------------------------------------------------------------------------
+# Classification (Humphreys, Reflection Groups and Coxeter Groups, ch. 2)
+
+def _component_sizes(m, comp):
+    """(|W|, |Phi|) of the irreducible group on the connected vertex list
+    `comp` of the Coxeter graph, or None when that group is infinite."""
+    n = len(comp)
+    if n <= 2:
+        k = m[comp[0]][comp[-1]] if n == 2 else 1
+        return 2 * k, 2 * k  # A1, I2(k)
+    adj = {v: [u for u in comp if u != v and m[v][u] >= 3] for v in comp}
+    if sum(map(len, adj.values())) != 2 * (n - 1):
+        return None  # the graph has a cycle
+    heavy = [(v, u) for v in comp for u in adj[v] if v < u and m[v][u] > 3]
+    branch = [v for v in comp if len(adj[v]) > 2]
+    if not branch:  # a path
+        if not heavy:
+            return factorial(n + 1), n * (n + 1)  # A_n
+        if len(heavy) > 1:
+            return None
+        v, u = heavy[0]
+        k, at_end = m[v][u], min(len(adj[v]), len(adj[u])) == 1
+        if k == 4 and at_end:
+            return 2 ** n * factorial(n), 2 * n * n  # B_n
+        if k == 4 and n == 4:
+            return 1152, 48  # F4
+        if k == 5 and at_end and n <= 4:
+            return (120, 30) if n == 3 else (14400, 120)  # H3, H4
+        return None
+    if heavy or len(branch) > 1 or len(adj[branch[0]]) > 3:
+        return None
+    arms = []  # vertices on each arm of the star, centre excluded
+    for v in adj[branch[0]]:
+        prev, size = branch[0], 1
+        while len(adj[v]) == 2:
+            prev, v = v, next(u for u in adj[v] if u != prev)
+            size += 1
+        arms.append(size)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return 2 ** (n - 1) * factorial(n), 2 * n * (n - 1)  # D_n
+    return {(1, 2, 2): (51840, 72), (1, 2, 3): (2903040, 126),
+            (1, 2, 4): (696729600, 240)}.get(tuple(arms))  # E6, E7, E8
+
+
+def group_sizes(spec: CoxeterSpec) -> tuple[int, int]:
+    """(|W|, |Phi|), read from the types of the components of the Coxeter
+    graph (an edge wherever m_ij >= 3): |W| is the product of the component
+    orders and |Phi| the sum of rank times Coxeter number.
+
+    GroupTooLargeError when W is infinite or |W| > DEFAULT_ELEMENT_CAP.
+    """
+    m, rank = spec.matrix, spec.rank
+    order, roots, seen = 1, 0, set()
+    for start in range(rank):
+        if start in seen:
+            continue
+        comp = [start]
+        for v in comp:  # the list grows: a BFS queue
+            comp += [u for u in range(rank) if m[v][u] >= 3 and u not in comp]
+        seen.update(comp)
+        sizes = _component_sizes(m, sorted(comp))
+        if sizes is None:
+            raise GroupTooLargeError(
+                f"group too large or infinite: {spec.label()} is infinite")
+        order *= sizes[0]
+        roots += sizes[1]
+    if order > DEFAULT_ELEMENT_CAP:
+        raise GroupTooLargeError(
+            f"group too large or infinite: |W| = {order} > {DEFAULT_ELEMENT_CAP}")
+    return order, roots
+
+
+# ---------------------------------------------------------------------------
 # Root system construction
 
-def _build_root_permutations(spec: CoxeterSpec, cap: int):
-    """Close the simple roots under the simple reflections.
+def _build_root_permutations(spec: CoxeterSpec):
+    """Close the simple roots under the simple reflections, over F_p.
 
     Returns the generator permutations of the root set; the simple roots are
-    root indices 0..rank-1.  Only exact equality of coordinates is used, so
-    root signs are not decided here (see CoxeterSystem._positive_roots).
+    root indices 0..rank-1.  Root coordinates lie in Z[2cos(pi/N)], N = lcm
+    of the bond labels.  Sending 2cos(pi/m) to z^(N/m) + z^(-N/m), for z of
+    order 2N in F_p and a prime p = 1 (mod 2N), is a ring map, so the
+    closure mod p is the image of Phi.  It has exactly |Phi| points iff no
+    two roots collide; then every equality test agrees with the exact one,
+    and the breadth-first root numbering is the exact closure's.
+    InvariantError when the count differs from the classification.  Root
+    signs are not decided here (see CoxeterSystem._positive_roots).
     """
     rank = spec.rank
-    labels = [spec.matrix[i][j] for i in range(rank) for j in range(i + 1, rank)]
-    field = cyclo_field(max(2, lcm(*labels))) if labels else cyclo_field(2)
-    # bond values t[i][j] = 2cos(pi/m_ij)
-    t = [[field.two_cos_pi_over(spec.matrix[i][j]) if i != j else None
-          for j in range(rank)] for i in range(rank)]
-    zero, one = field.zero, field.one
+    _, num_roots = group_sizes(spec)
+    n = max(2, lcm(*(k for row in spec.matrix for k in row)))
+    p = prime_one_mod(2 * n)
+    z = root_of_unity(2 * n, p)
+    # t[i][j] = 2cos(pi/m_ij) mod p; t[i][i] = 2cos(pi) = -2
+    t = [[(pow(z, n // k, p) + pow(z, -(n // k), p)) % p for k in row]
+         for row in spec.matrix]
 
     def reflect(i, v):
-        new_i = -v[i]
-        for j in range(rank):
-            if j != i and not v[j].is_zero():
-                new_i = new_i + t[i][j] * v[j]
-        return v[:i] + (new_i,) + v[i + 1 :]
+        # s_i v = v - 2B(alpha_i, v) alpha_i, with 2B(alpha_i, alpha_j) = -t[i][j]
+        return v[:i] + ((v[i] + sum(map(mul, t[i], v))) % p,) + v[i + 1:]
 
-    simple = [tuple(one if j == i else zero for j in range(rank)) for i in range(rank)]
-    roots = list(simple)
+    roots = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     index = {r: i for i, r in enumerate(roots)}
-    frontier = list(simple)
+    frontier = list(roots)
     while frontier:
         nxt = []
         for v in frontier:
             for i in range(rank):
                 w = reflect(i, v)
                 if w not in index:
-                    if len(roots) >= cap:
-                        raise GroupTooLargeError("group too large or infinite")
+                    if len(roots) == num_roots:
+                        raise InvariantError(
+                            f"root closure mod {p} exceeds |Phi| = {num_roots}")
                     index[w] = len(roots)
                     roots.append(w)
                     nxt.append(w)
         frontier = nxt
+    if len(roots) != num_roots:
+        raise InvariantError(f"root closure mod {p} has {len(roots)} roots, "
+                             f"not |Phi| = {num_roots}")
     return [tuple(index[reflect(i, v)] for v in roots) for i in range(rank)]
 
 
@@ -207,10 +292,10 @@ class CoxeterSystem:
     Elements are indices 0..order-1 with the identity at index 0; the
     enumeration is breadth-first over right multiplication by generators
     (ascending generator index), so it is deterministic and length-graded.
+    It must reach exactly the |W| of `group_sizes` (InvariantError).
     """
 
-    def __init__(self, spec: CoxeterSpec, gen_perms,
-                 cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, spec: CoxeterSpec, gen_perms):
         self.spec = spec
         self.rank = spec.rank
         self.gen_perms = [tuple(p) for p in gen_perms]
@@ -218,7 +303,7 @@ class CoxeterSystem:
         positive = self._positive_roots()
         self.root_signs = tuple(1 if r in positive else -1
                                 for r in range(self.num_roots))
-        self._enumerate(cap)
+        self._enumerate(group_sizes(spec)[0])
         self._lock = threading.Lock()
         self._mult_rows: dict[int, list[int]] = {}
         self._conj_gen = None
@@ -243,7 +328,7 @@ class CoxeterSystem:
             frontier = nxt
         return positive
 
-    def _enumerate(self, cap):
+    def _enumerate(self, predicted):
         rank = self.rank
         gens = self.gen_perms
         heads = [g[:rank] for g in gens]
@@ -264,8 +349,9 @@ class CoxeterSystem:
                     idx = index.get(key)
                     if idx is None:
                         idx = len(elements)
-                        if idx >= cap:
-                            raise GroupTooLargeError("group too large or infinite")
+                        if idx == predicted:
+                            raise InvariantError(
+                                f"enumeration exceeds |W| = {predicted}")
                         index[key] = idx
                         elements.append(tuple([pw[x] for x in gens[i]]))
                         rt.append([0] * rank)
@@ -274,6 +360,9 @@ class CoxeterSystem:
                         nxt.append(idx)
                     row[i] = idx
             frontier = nxt
+        if len(elements) != predicted:
+            raise InvariantError(
+                f"enumerated {len(elements)} elements, not |W| = {predicted}")
         self.order = len(elements)
         self.elements = elements
         self.index = index
@@ -507,8 +596,7 @@ class CoxeterSystem:
         return f"CoxeterSystem({self.spec.label()}, order={self.order})"
 
 
-def build_group(spec: CoxeterSpec, cap: int = DEFAULT_ELEMENT_CAP,
-                use_cache: bool = False,
+def build_group(spec: CoxeterSpec, use_cache: bool = False,
                 cache_dir: str | None = None) -> CoxeterSystem:
     """Build the full CoxeterSystem for a spec.
 
@@ -516,16 +604,18 @@ def build_group(spec: CoxeterSpec, cap: int = DEFAULT_ELEMENT_CAP,
     cache directory (COXDESC_CACHE env var, default ".coxdesc-cache");
     element enumeration from cached data is deterministic, so queries are
     identical to a fresh build.  Fails with GroupTooLargeError("group too
-    large or infinite") if the enumeration exceeds `cap` elements.
+    large or infinite") for an infinite W or |W| > DEFAULT_ELEMENT_CAP,
+    before any cache load, closure or enumeration.
     """
     from . import cache as _cache
 
+    group_sizes(spec)
     if use_cache:
         gen_perms = _cache.load(spec, cache_dir)
         if gen_perms is not None:
-            return CoxeterSystem(spec, gen_perms, cap=cap)
-    gen_perms = _build_root_permutations(spec, cap)
-    group = CoxeterSystem(spec, gen_perms, cap=cap)
+            return CoxeterSystem(spec, gen_perms)
+    gen_perms = _build_root_permutations(spec)
+    group = CoxeterSystem(spec, gen_perms)
     if use_cache:
         _cache.save(spec, gen_perms, cache_dir)
     return group

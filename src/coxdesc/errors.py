@@ -2,8 +2,11 @@
 
 
 class GroupTooLargeError(RuntimeError):
-    """Raised when a resource guard trips (enumeration cap, matrix size cap)."""
+    """A resource guard tripped: an infinite group or one above the element
+    cap (refused from the classification before any build), or the
+    regular-representation size cap."""
 
 
 class InvariantError(RuntimeError):
-    """An internal cross-check failed; signals a bug, not a user error."""
+    """An internal cross-check failed (such as a root or element count that
+    differs from the classification); signals a bug, not a user error."""

@@ -1,5 +1,8 @@
 """Prime fields below 2^62 and exact modular characteristic polynomials.
 
+`prime_one_mod` and `root_of_unity` give the field the root closure runs in:
+a prime p = 1 (mod 2N) and an element of order exactly 2N in F_p.
+
 `charpoly_mod` is for small matrices (the descent-algebra action matrix has
 2^rank rows): a similarity reduction to upper Hessenberg form, then the
 leading-principal-minor recurrence, O(n^3) operations on Python ints.  The
@@ -51,6 +54,35 @@ def primes_below(start: int, count: int) -> list[int]:
             out.append(c)
         c -= 2
     return out
+
+
+def prime_one_mod(q: int) -> int:
+    """The largest prime p < 2^62 with p = 1 (mod q)."""
+    p = ((1 << 62) - 2) // q * q + 1
+    while not is_prime(p):
+        p -= q
+    return p
+
+
+def root_of_unity(n: int, p: int) -> int:
+    """An element of order exactly n in F_p, for a prime p = 1 (mod n):
+    the first a^((p-1)/n), a = 2, 3, ..., whose n/q-th power is not 1 for
+    any prime q dividing n."""
+    factors, rest, q = [], n, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    a = 2
+    while True:
+        z = pow(a, (p - 1) // n, p)
+        if all(pow(z, n // q, p) != 1 for q in factors):
+            return z
+        a += 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .coxeter import CoxeterSystem, ParabolicAtlas
@@ -49,7 +50,7 @@ from .descent import (
     y_to_x,
 )
 from .errors import GroupTooLargeError, InvariantError
-from .exact import lcm, rational_to_string
+from .exact import rational_to_string
 from .modular import (
     DEFAULT_PRIMES,
     charpoly_mod,
@@ -133,15 +134,18 @@ def regular_rep(group: CoxeterSystem, d: DescentElement):
 
 
 def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
-    """(D, integer coefficient list of D*d expanded), D = lcm of denominators."""
+    """(D, integer coefficient list of D*d expanded), D = lcm of denominators.
+
+    The x-coefficients are scaled to integers first, so the expansion adds
+    ints: D*c_J on every w in W^J.
+    """
     dx = y_to_x(d, group.rank)
     den = lcm(*(c.denominator for c in dx.coeffs.values()))
-    coeffs = expand(group, dx)
     out = [0] * group.order
-    for w, c in coeffs.coeffs.items():
-        v = c * den
-        assert v.denominator == 1
-        out[w] = int(v)
+    for j, c in dx.coeffs.items():
+        v = c.numerator * (den // c.denominator)
+        for w in group.min_coset_reps(j, "right"):
+            out[w] += v
     return den, out
 
 

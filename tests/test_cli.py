@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from coxdesc import cache, cli
-from coxdesc.coxeter import CoxeterSpec, build_group
+from coxdesc.coxeter import CoxeterSpec, _chain, build_group
 from coxdesc.errors import GroupTooLargeError
 from coxdesc.modular import DEFAULT_PRIMES
 
@@ -284,6 +285,48 @@ def test_resource_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_group", fake_build)
     code, _, err = run_cli(capsys, "group", "A2")
     assert code == 3 and "too large" in err
+
+
+def _star(arms):
+    """Simply laced tree: a centre (vertex 0) with paths of the given lengths."""
+    n = 1 + sum(arms)
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    v = 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm):
+            m[prev][v] = m[v][prev] = 3
+            prev, v = v, v + 1
+    return m
+
+
+REFUSED_MATRICES = {
+    "A2-affine": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+    "C2-affine": [[1, 4, 2], [4, 1, 4], [2, 4, 1]],
+    "triangle-2-3-7": [[1, 2, 3], [2, 1, 7], [3, 7, 1]],
+    "E8-affine": _star([1, 2, 5]),
+    "E6-affine": _star([2, 2, 2]),
+    "D4-affine": _star([1, 1, 1, 1]),
+    "F4-affine": _chain(5, [3, 4, 3, 3]),
+    "path-3-5-3": _chain(4, [3, 5, 3]),
+    "path-5-3-3-3": _chain(5, [5, 3, 3, 3]),
+    "E7": _star([1, 2, 3]),
+    "E8": _star([1, 2, 4]),
+    "I2(10^9)": [[1, 10 ** 9], [10 ** 9, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_MATRICES))
+def test_infinite_or_oversized_group_refused_fast(tmp_path, capsys, name):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"m": REFUSED_MATRICES[name]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group", f"@{path}",
+                             "--cache-dir", str(tmp_path / "cache"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: group too large or infinite")
+    assert not (tmp_path / "cache").exists()
 
 
 def test_counterexample(capsys):

@@ -1,10 +1,18 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from coxdesc.coxeter import CoxeterSpec, ParabolicAtlas, build_group
-from coxdesc.errors import GroupTooLargeError
+from coxdesc import coxeter
+from coxdesc.coxeter import (
+    CoxeterSpec,
+    ParabolicAtlas,
+    _build_root_permutations,
+    build_group,
+    group_sizes,
+)
+from coxdesc.errors import GroupTooLargeError, InvariantError
 from coxdesc.subsets import (
     iter_subsets,
     subset_from_name,
@@ -50,7 +58,7 @@ def test_spec_json_roundtrip():
 def test_infinite_group_trips_cap():
     affine = CoxeterSpec.from_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
     with pytest.raises(GroupTooLargeError, match="too large or infinite"):
-        build_group(affine, cap=500)
+        build_group(affine)
 
 
 def test_group_laws_small(group_factory):
@@ -142,6 +150,106 @@ def test_root_signs_from_closure(group_factory, name):
         # s_i sends alpha_i, and no other positive root, negative
         assert [r for r in positive if signs[perm[r]] < 0] == [i]
     assert g.length_by_roots(g.longest) == len(positive)
+
+
+def _block(*matrices):
+    """Coxeter matrix of a direct product: the blocks on the diagonal."""
+    n = sum(len(m) for m in matrices)
+    out = [[2] * n for _ in range(n)]
+    offset = 0
+    for m in matrices:
+        for i, row in enumerate(m):
+            out[offset + i][offset:offset + len(row)] = row
+        offset += len(m)
+    return out
+
+
+CLOSURE_MATRICES = {
+    **EXPLICIT_MATRICES,
+    "E6": [[1, 3, 2, 2, 2, 2], [3, 1, 3, 2, 2, 2], [2, 3, 1, 3, 2, 3],
+           [2, 2, 3, 1, 3, 2], [2, 2, 2, 3, 1, 2], [2, 2, 3, 2, 2, 1]],
+    "H3xI2(7)": _block([[1, 5, 2], [5, 1, 3], [2, 3, 1]], [[1, 7], [7, 1]]),
+    "I2(30)": [[1, 30], [30, 1]],
+}
+
+# sha256 of json.dumps([list(p) for p in gen_perms]), recorded from the exact
+# closure over Q(2cos(pi/N)) that the prime-field closure replaced.
+ROOT_PERM_DIGESTS = {
+    "A1": "182b77e38efae503abf58a12f7c83c1ff2a91b8d1a8fc47da71ae46d59e3621a",
+    "A2": "9846de6129bf138ea3d4e4ee27622bc48c4d42d1a55924a943bc491b83f63b34",
+    "A3": "3a8b5592abf42ba61976157b0388fb9eaa59cc7e139fa4dd26fa40d4296aa9de",
+    "A4": "4dc7f76e8340efa90c8e58e78054364ec2183ad29bd7229240f8cf38aa2a9129",
+    "A5": "7fe38e75da5021d1202a1080dce5a0cbcc1d76326e3991109159f4d15008bae5",
+    "A6": "786df5fc4b1d2e867e1ebd9b04341303f834815707ed3efbc3c763f6f1cac62a",
+    "B2": "e8f9edc8a3937980d75f18b4e496bfb173cb2f0b67e2934facf3e2a96f361617",
+    "B3": "1b980436c57ce5daabbb7d6c649a7e901ce09f58e2fee16d2ea88bab8234ae60",
+    "B4": "a95d719b317c498b70977bf27a36c581aa614a8dd3d3867f90d80af7e6ee3fc8",
+    "D4": "babe42acaae928dd9759d08eaa29888b1428b618bbdf6c0768c08fe8d968d1ed",
+    "H3": "4fbf742ec1b9ff24ec83b870579c715dcc514c002dc8a3ea1b12087de77838b7",
+    "F4": "356d50b641da6c1cdfbf5e9dd916bd9b911e3850f7df987e3795f76da439e1a0",
+    "I2(2)": "d609041ca194dd2e263e59133c6e8599475091f5581db0570cdd81bd21044932",
+    "I2(3)": "9846de6129bf138ea3d4e4ee27622bc48c4d42d1a55924a943bc491b83f63b34",
+    "I2(4)": "e8f9edc8a3937980d75f18b4e496bfb173cb2f0b67e2934facf3e2a96f361617",
+    "I2(5)": "794cb60b77b207b7c2f1e51ac7901484459d36d1163d3c853a52584a65a19755",
+    "I2(6)": "7d5be96e49e0f70d734071c36668d3c949f8212265f9c40c8d0c3fb653d625c9",
+    "I2(7)": "20d7470430f74195a0af7ca6bdbd9321794be43474bda4a014e83c261a113889",
+    "I2(8)": "b2767dd35d74eb297a45ca10a6a271eeb11ec5943af46f6063388ac137844a97",
+    "I2(9)": "2b88d462156a771e5aaefbd97f8572f08e2f3ccc5192c54257abae81b610d0ca",
+    "I2(10)": "314d1bc595361b03e4ae980902b6f1a9cf724e29eabeee48475b52ba3353d364",
+    "I2(11)": "f304c5ee32ec728f0ac0c4fb0bb1e15a7cc1f99b4d93129fa077e69b0e20d768",
+    "I2(12)": "2225b6d2e9a1eb163ca235777eaae87e1814e2094e94e439c24b0abf25298f3d",
+    "H4": "2484222fed2f5f1ee8d326d3d9c2ce7ae7b964cc39a65a53288e9b29db8d6043",
+    "B5": "9c8ab560782c5aa8c7fca9acc026e531d5316a3865ab8e6e3d1f91f2ba897cc7",
+    "D5": "9d0f4b20381cbb8e4479c6bb09990e7fa47f89ef8d45d7d46bd5b499e5ebf1ab",
+    "E6": "29e42176b46bfacaa61276a0ae152f815a8a3fdd2071f559c0110b6e725b233a",
+    "H3xI2(7)": "7a6b376b1ce3b71d998888766ffb0c3b6a23051299a48a5e1bc90210735cdcd9",
+    "I2(30)": "2242a85c444afcf25d1b3bf95896dc1d28c550fe8066899706a4e4292d34ff6e",
+}
+
+
+def _closure_spec(name):
+    if name in CLOSURE_MATRICES:
+        return CoxeterSpec.from_matrix(CLOSURE_MATRICES[name])
+    return CoxeterSpec.from_name(name)
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_PERM_DIGESTS))
+def test_root_permutations_match_exact_closure(name):
+    perms = _build_root_permutations(_closure_spec(name))
+    digest = hashlib.sha256(json.dumps([list(p) for p in perms]).encode())
+    assert digest.hexdigest() == ROOT_PERM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_PERM_DIGESTS))
+def test_classification_predicts_order_and_roots(group_factory, name):
+    if name in CLOSURE_MATRICES:
+        g = build_group(_closure_spec(name))
+    else:
+        g = group_factory(name)
+    assert group_sizes(g.spec) == (g.order, g.num_roots)
+
+
+def test_large_dihedral_group_builds():
+    g = build_group(CoxeterSpec.from_matrix([[1, 1000], [1000, 1]]))
+    assert (g.order, g.num_roots) == (2000, 2000)
+
+
+@pytest.mark.parametrize("shift,message", [
+    ((0, -1), "closure mod .* exceeds"), ((0, 1), "has 30 roots"),
+    ((-1, 0), "enumeration exceeds"), ((1, 0), "enumerated 120 elements"),
+], ids=["roots-low", "roots-high", "order-low", "order-high"])
+def test_wrong_prediction_raises(monkeypatch, shift, message):
+    # a count above the prediction must stop the closure or enumeration at
+    # once; one below it must be caught when it ends
+    real = coxeter.group_sizes
+
+    def wrong(spec):
+        order, roots = real(spec)
+        return order + shift[0], roots + shift[1]
+
+    monkeypatch.setattr(coxeter, "group_sizes", wrong)
+    with pytest.raises(InvariantError, match=message):
+        build_group(CoxeterSpec.from_name("H3"))
 
 
 def _full_permutation_tables(gen_perms):

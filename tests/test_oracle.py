@@ -170,14 +170,14 @@ def test_class_counts_guard(group_factory, monkeypatch, full):
 def test_class_coeffs_guard(group_factory, monkeypatch):
     g = group_factory("B3")
     target = _last_member(g, 0b100)
-    real = oracle.expand
+    real = oracle._scaled_integer_coeffs
 
     def corrupted(group, d):
-        out = real(group, d)
-        out.coeffs[target] = out.coeff(target) + 1
-        return out
+        den, out = real(group, d)
+        out[target] += 1
+        return den, out
 
-    monkeypatch.setattr(oracle, "expand", corrupted)
+    monkeypatch.setattr(oracle, "_scaled_integer_coeffs", corrupted)
     with pytest.raises(InvariantError, match="class 4"):
         verify_spectrum(g, _random_element(3, 14))
 
