@@ -308,7 +308,6 @@ class CoxeterSystem:
         self._mult_rows: dict[int, list[int]] = {}
         self._conj_gen = None
         self._subgroups: dict[int, frozenset] = {}
-        self._subgroup_masks: dict[int, int] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -451,7 +450,11 @@ class CoxeterSystem:
 
     @property
     def conj_gen(self) -> list[list[int]]:
-        """conj_gen[w][i] = index of w s_i w^-1."""
+        """conj_gen[w][i] = index of w s_i w^-1.
+
+        Kept as a reference table and a benchmark hook; nothing in coxdesc
+        calls it (parabolic conjugation is read from simple-root images).
+        """
         if self._conj_gen is None:
             with self._lock:
                 if self._conj_gen is None:
@@ -493,19 +496,9 @@ class CoxeterSystem:
                         nxt.append(v)
             frontier = nxt
         out = frozenset(seen)
-        bits = 0
-        for w in seen:
-            bits |= 1 << w
         with self._lock:
             self._subgroups[mask] = out
-            self._subgroup_masks[mask] = bits
         return out
-
-    def subgroup_bits(self, mask: int) -> int:
-        """W_J as a big-int membership bitmask over element indices."""
-        if mask not in self._subgroup_masks:
-            self.subgroup(mask)
-        return self._subgroup_masks[mask]
 
     def min_coset_reps(self, mask: int, side: str = "right") -> list[int]:
         """W^J (side="right": l(ws) > l(w) for s in J) or ^JW (side="left").
@@ -540,31 +533,6 @@ class CoxeterSystem:
                 w = rt[w][(dr & -dr).bit_length() - 1]
                 continue
             return w
-
-    def is_subgroup(self, elems) -> bool:
-        s = set(elems)
-        if 0 not in s:
-            return False
-        return all(self.mul(a, b) in s for a in s for b in s)
-
-    def min_rep_general(self, w: int, u_elems, v_elems, check: bool = True) -> list[int]:
-        """All minimal-length elements of the double coset U w V.
-
-        U and V are subgroups given as element-index iterables; unlike the
-        parabolic case the minimum need not be unique.
-        """
-        u_list, v_list = list(u_elems), list(v_elems)
-        if check and (not self.is_subgroup(u_list) or not self.is_subgroup(v_list)):
-            raise ValueError("not a subgroup")
-        length = self.length
-        coset = set()
-        for u in u_list:
-            uw = self.mul(u, w)
-            row = self.mult_row(uw)
-            for v in v_list:
-                coset.add(row[v])
-        best = min(length[x] for x in coset)
-        return sorted(x for x in coset if length[x] == best)
 
     def coxeter_element(self, mask: int, order_reversed: bool = False) -> int:
         """Product of the generators of J, ascending index by default."""
@@ -651,21 +619,19 @@ class ParabolicAtlas:
     # -- normalizer complements ----------------------------------------------
 
     def normalizer_complement(self, mask: int) -> frozenset:
-        """N_J: minimal coset representatives w with w^-1 W_J w = W_J."""
+        """N_J: minimal coset representatives w with w^-1 W_J w = W_J.
+
+        w in W^J normalizes W_J iff it permutes the simple roots Delta_J
+        (Howlett, J. London Math. Soc. 21, 1980), read from w's images of
+        the simple roots: root index r < rank is alpha_r.
+        """
         got = self._nj.get(mask)
         if got is not None:
             return got
         g = self.group
         gens = subset_indices(mask)
-        bits = g.subgroup_bits(mask)
-        conj_gen = g.conj_gen
-        inv = g.inverse
-        out = []
-        for w in g.min_coset_reps(mask, "right"):
-            cw = conj_gen[inv[w]]
-            if all((bits >> cw[i]) & 1 for i in gens):
-                out.append(w)
-        res = frozenset(out)
+        res = frozenset(w for w in g.min_coset_reps(mask, "right")
+                        if all(mask >> g.elements[w][i] & 1 for i in gens))
         with self._lock:
             self._nj[mask] = res
         return res
@@ -673,20 +639,13 @@ class ParabolicAtlas:
     # -- parabolic conjugacy classes ------------------------------------------
 
     def _conjugate_parabolics(self, j_mask: int, k_mask: int) -> bool:
+        """Whether some w in W^K has w Delta_K = Delta_J (w W_K w^-1 = W_J)."""
         g = self.group
         if len(g.subgroup(j_mask)) != len(g.subgroup(k_mask)):
             return False
-        if j_mask == k_mask:
-            return True
-        gens = subset_indices(j_mask)
-        bits = g.subgroup_bits(k_mask)
-        conj_gen = g.conj_gen
-        inv = g.inverse
-        for w in g.min_coset_reps(k_mask, "right"):
-            cw = conj_gen[inv[w]]
-            if all((bits >> cw[i]) & 1 for i in gens):
-                return True
-        return False
+        gens = subset_indices(k_mask)
+        return any(all(j_mask >> g.elements[w][k] & 1 for k in gens)
+                   for w in g.min_coset_reps(k_mask, "right"))
 
     def _build_classes(self):
         rank = self.group.rank
@@ -777,17 +736,13 @@ class ParabolicAtlas:
 
     # -- conjugators ------------------------------------------------------------
 
-    def _normalizer_group(self, mask: int) -> list[int]:
-        """N_J W_J as an element list (the full normalizer of W_J)."""
-        g = self.group
-        out = []
-        for n in self.normalizer_complement(mask):
-            row = g.mult_row(n)
-            out.extend(row[u] for u in g.subgroup(mask))
-        return out
-
     def conjugator(self, kp_mask: int, k_mask: int) -> int:
-        """The fixed c with c^-1 W_K' c = W_K, minimal in its normalizer coset."""
+        """The fixed c with c^-1 W_K' c = W_K, minimal in its normalizer coset.
+
+        The minimal-length elements of {c : c^-1 W_K' c = W_K} lie in W^K
+        and are exactly the minimal-length w with w Delta_K = Delta_K'
+        (Howlett, J. London Math. Soc. 21, 1980); the tiebreak picks one.
+        """
         if self.class_of[kp_mask] != self.class_of[k_mask]:
             raise ValueError("not conjugate")
         if kp_mask == k_mask:
@@ -797,26 +752,21 @@ class ParabolicAtlas:
         if got is not None:
             return got
         g = self.group
-        gens = subset_indices(kp_mask)
-        bits = g.subgroup_bits(k_mask)
-        conj_gen = g.conj_gen
-        inv = g.inverse
-        c0 = None
-        for w in range(g.order):
-            cw = conj_gen[inv[w]]
-            if all((bits >> cw[i]) & 1 for i in gens):
-                c0 = w
+        gens = subset_indices(k_mask)
+        elements, length = g.elements, g.length
+        cands = []
+        for w in range(g.order):  # length-graded: stop past the first hits
+            if cands and length[w] > length[cands[0]]:
                 break
-        assert c0 is not None
-        u_elems = self._normalizer_group(kp_mask)
-        v_elems = self._normalizer_group(k_mask)
-        cands = g.min_rep_general(c0, u_elems, v_elems, check=False)
+            if all(kp_mask >> elements[w][k] & 1 for k in gens):
+                cands.append(w)
         keyfun = (lambda x: g.elements[x]) if self.tiebreak == "lex" \
             else (lambda x: tuple(-v for v in g.elements[x]))
         c = min(cands, key=keyfun)
-        # the chosen element must itself conjugate W_K' onto W_K
-        ci = inv[c]
-        assert all((bits >> conj_gen[ci][i]) & 1 for i in gens)
+        # checked by conjugating in the group, not by the root test
+        sub_k = g.subgroup(k_mask)
+        assert all(g.conj(g.right_table[0][i], c) in sub_k
+                   for i in subset_indices(kp_mask))
         with self._lock:
             self._conjugators[key] = c
         return c

@@ -91,7 +91,10 @@ class StructureConstants:
 
     table(J, K) counts, for each distinguished representative x in ^J W^K,
     the subset L = {s in K : x s x^-1 in W_J}; by Solomon/Kilmoyer this L
-    generates the parabolic x^-1 W_J x intersect W_K.
+    generates the parabolic x^-1 W_J x intersect W_K.  For such x,
+    x s_k x^-1 lies in W_J iff x alpha_k is a simple root alpha_j with j in
+    J (Kilmoyer; Geck-Pfeiffer, Characters of Finite Coxeter Groups and
+    Iwahori-Hecke Algebras, 2.1), so L is read from x's simple-root images.
     """
 
     def __init__(self, group: CoxeterSystem):
@@ -106,15 +109,13 @@ class StructureConstants:
         if got is not None:
             return got
         g = self.group
-        conj_gen = g.conj_gen
-        bits = g.subgroup_bits(j_mask)
         ks = subset_indices(k_mask)
         out: dict[int, int] = {}
         for x in g.double_coset_reps(j_mask, k_mask):
-            cg = conj_gen[x]
+            px = g.elements[x]
             lmask = 0
             for i in ks:
-                if (bits >> cg[i]) & 1:
+                if j_mask >> px[i] & 1:
                     lmask |= 1 << i
             out[lmask] = out.get(lmask, 0) + 1
         with self._lock:

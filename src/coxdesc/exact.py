@@ -16,10 +16,12 @@ Rational = Fraction
 
 
 def rational_from_string(s: str) -> Fraction:
-    """Parse "p/q" or "p" (q omitted when 1)."""
+    """Parse "p/q" or "p" (q omitted when 1).  ValueError when q is 0."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

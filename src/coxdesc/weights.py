@@ -1,8 +1,8 @@
 """Weight vectors for descent elements: files, presets, seeded randomness.
 
 Weight file format (JSON): {"basis": "x", "weights": {"": "1", "s1,s3": "3/2"}}
-with subset names comma-joined ("" is the empty set) and rationals as "p/q"
-strings.
+with subset names comma-joined ("" is the empty set; each subset at most
+once) and rationals as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from random import Random
 from .coxeter import CoxeterSpec
 from .descent import DescentElement
 from .exact import rational_from_string
-from .subsets import iter_subsets, subset_from_name, subset_indices
+from .subsets import iter_subsets, subset_from_name, subset_indices, subset_name
 
 
 def load_weight_file(path: str, rank: int) -> DescentElement:
@@ -38,9 +38,11 @@ def weights_from_dict(data: dict, rank: int) -> DescentElement:
             mask = subset_from_name(key, rank)
         except ValueError as exc:
             raise ValueError(f"bad subset key {key!r}: {exc}") from None
+        if mask in coeffs:
+            raise ValueError(f"subset {subset_name(mask)!r} given twice")
         try:
             coeffs[mask] = rational_from_string(str(val))
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ValueError(f"bad rational for key {key!r}: {val!r}") from None
     return DescentElement(basis, coeffs)
 

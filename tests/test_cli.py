@@ -166,6 +166,39 @@ def test_spectrum_bad_weight_file(tmp_path, capsys):
     assert code == 2 and "s1" in err
 
 
+@pytest.mark.parametrize("command,preset", [
+    ("verify", "qmaj:1/0"), ("spectrum", "desx:1/0,1,1"),
+])
+def test_zero_denominator_preset_exits_2(capsys, command, preset):
+    code, out, err = run_cli(capsys, command, "A3", "--preset", preset,
+                             "--no-cache")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_zero_denominator_weight_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": "x", "weights": {"s1": "1/0"}}))
+    code, _, err = run_cli(capsys, "spectrum", "A2", "--weights", str(path),
+                           "--no-cache")
+    assert code == 2 and err.startswith("error:") and "s1" in err
+
+
+def test_duplicate_weight_subsets_refused(tmp_path, capsys):
+    from coxdesc.weights import weights_from_dict
+
+    raw = {"weights": {"s1,s3": "1", "s3,s1": "2", " s1 , s3 ": "5"}}
+    with pytest.raises(ValueError, match="subset 's1,s3' given twice"):
+        weights_from_dict(raw, 3)
+    with pytest.raises(ValueError, match="subset '' given twice"):
+        weights_from_dict({"weights": {"": "1", " ": "2"}}, 3)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": "y", **raw}))
+    code, out, err = run_cli(capsys, "spectrum", "A3", "--weights", str(path),
+                             "--no-cache")
+    assert code == 2 and out == "" and "given twice" in err
+
+
 def test_qmaj_preset_type_a_only(capsys):
     code, _, err = run_cli(capsys, "spectrum", "H3", "--preset", "qmaj:2",
                            "--no-cache")

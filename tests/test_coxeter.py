@@ -12,6 +12,7 @@ from coxdesc.coxeter import (
     build_group,
     group_sizes,
 )
+from coxdesc.descent import StructureConstants, ajkk_matrix
 from coxdesc.errors import GroupTooLargeError, InvariantError
 from coxdesc.subsets import (
     iter_subsets,
@@ -401,33 +402,6 @@ def test_double_coset_cross_section(group_factory):
                                    for w in range(g.order)})
 
 
-def test_min_rep_general(group_factory):
-    g = group_factory("A3")
-    rng = random.Random(4)
-    for _ in range(10):
-        w = rng.randrange(g.order)
-        assert g.min_rep_general(w, [0], [0]) == [w]
-    assert g.min_rep_general(5, range(g.order), range(g.order)) == [0]
-    with pytest.raises(ValueError, match="not a subgroup"):
-        g.min_rep_general(1, [0, 1, 2], [0])
-
-
-def test_min_rep_general_conjugating_property(group_factory, atlas_factory):
-    # every minimal representative between normalizers conjugates the
-    # parabolic onto the other one
-    g = group_factory("H3")
-    atlas = atlas_factory("H3")
-    kp, k = 0b010, 0b001  # {s2}, {s1}
-    u = sorted(atlas._normalizer_group(kp))
-    v = sorted(atlas._normalizer_group(k))
-    c0 = atlas.conjugator(kp, k)
-    sub_kp = g.subgroup(kp)
-    sub_k = g.subgroup(k)
-    for x in g.min_rep_general(c0, u, v, check=True):
-        xi = g.inv(x)
-        assert {g.mul(g.mul(xi, t), x) for t in sub_kp} == sub_k
-
-
 def test_parabolic_class_counts(group_factory):
     expected = {"F4": 12, "H3": 6, "B2": 4, "A2": 3, "A3": 5, "B3": 7}
     for name, p in expected.items():
@@ -514,6 +488,81 @@ def test_conjugator_coset_set_equalities(group_factory, name):
         nkp_c = {g.mul(x, c) for x in atlas.normalizer_complement(kp)}
         assert lhs == c_nk == nkp_c
         assert {g.double_coset_rep(x, kp, k) for x in c_nk} == c_nk
+
+
+# sha256 of the parabolic data below, recorded when N_J, the classes, the
+# conjugators and the structure constants were still computed through the
+# conjugation table conj_gen and |W|-bit membership masks of W_J.
+ATLAS_DIGESTS = {
+    "A1": "469488572cb546ccdfe96f990d3e515926fa42da78e6d8943e33f87c53ce4963",
+    "A2": "a10d808a09133bff7e8e37683d3a29922155a7e2ea32127a6a4d653f2525612b",
+    "A3": "77fd4aa7a954af6e2bd3dfaaf1401c938b99ec8fcaadf58f1c4e3a8f7957725e",
+    "A4": "84fb786ee03268f993dede9c0c80ae74b016ae612a8aa4c0e0556dc7efa274ac",
+    "A5": "078fd10612701bc8d307853cd28dbd48a216ddf69c30fe7d0d98ca2bc14df66a",
+    "A6": "cff481b2d3e74236f8128ea5a78ac8a66206875ffba82fce00b4a61dcd7e9333",
+    "B2": "684947389397c062fbab7465f34137dd9b92e5d347f893568a7feadce52ce729",
+    "B3": "0caf489bc71b583e4d9d06b29b2661b37606795faca80136dda0a97ae4a1d843",
+    "B4": "19f517fac24e8da38dae84ab5ec2fabbb7c731f56d0be8cde4b7c1030ef38e32",
+    "D4": "dc59cd07b1f32d714de7594f1539e6088410a87378c0c0174e7d0dd786cc2958",
+    "H3": "4dc2db2b634e68184abf6dd9024107e775dbab5e74f55d6039cae7a78ba9bb7d",
+    "F4": "0983901f358f6d208f1669009b282df55296fae623d3e31c86041509082a20ca",
+    "I2(2)": "35b8958a18f1eaf00f4ef260f3c6fe79d32fe93490acac468cacd0d90eb2ea3f",
+    "I2(3)": "a10d808a09133bff7e8e37683d3a29922155a7e2ea32127a6a4d653f2525612b",
+    "I2(4)": "684947389397c062fbab7465f34137dd9b92e5d347f893568a7feadce52ce729",
+    "I2(5)": "6cd6482460c77ced0b300c759cff39faed9608cdac4281bbb4bf342c62ca4a24",
+    "I2(6)": "42ce0255988366fbc43e28e074ee5cab949c49d057fe6c9995e3a53112d2ef86",
+    "I2(7)": "21acdee131903f8fef8cc3fc0a25df3e1e96870232c1963c8bdc57eb822258b8",
+    "I2(8)": "312f7c2f5afd0820ab5ed01c842ae1515fe4b378d4c845becd8ac17646968d6a",
+    "I2(9)": "776b7214baf7bb685b39bf0d42d363a33c3dfb28403e9ff62b97ebb0cac73ef2",
+    "I2(10)": "3f14b15eaf4284f89dbdd57fb93364df6959a545a6a442f6cb4f16a571f3af02",
+    "I2(11)": "60ee5e6fa398ca8b4905774cd2aa7db7c520590008d84dc5b8a3a253dd3c3de4",
+    "I2(12)": "ae5dbfe94f5fb97bbf469b53e516cda6004d52de730edf221cdbf376ce908614",
+    "B5": "043ae057eee6106ba6afd204cffe9a9ed737160a6c3252c38e3849d2af6921c2",
+    "D5": "fe551a9a6c850eb16451f13c8b8c53483e3ee188b220ecd0ae0da7aa8593eb34",
+    "H4": "da598adcde74d58b8de3fe0039a0302f770964011c8d950d6d10e51fd025aae3",
+}
+
+
+def _atlas_digest(g):
+    masks = list(iter_subsets(g.rank))
+    sc = StructureConstants(g)
+    data = {"tables": [[sorted(sc.table(j, k).items()) for k in masks]
+                       for j in masks]}
+    for tiebreak in ("lex", "revlex"):
+        atlas = ParabolicAtlas(g, tiebreak=tiebreak)
+        data[tiebreak] = {
+            "classes": atlas.classes,
+            "nj": [sorted(atlas.normalizer_complement(m)) for m in masks],
+            "ajkk": [ajkk_matrix(atlas, mode)
+                     for mode in ("corrected", "bbht_naive")],
+            "conjugators": [atlas.conjugator(kp, k)
+                            for kp, k in _conjugate_pairs(atlas)],
+        }
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", SIGN_GROUPS)
+def test_atlas_and_structure_constants_match_recorded(group_factory, name):
+    if name in EXPLICIT_MATRICES:
+        g = build_group(CoxeterSpec.from_matrix(EXPLICIT_MATRICES[name]))
+    else:
+        g = group_factory(name)
+    assert _atlas_digest(g) == ATLAS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("tiebreak,pick", [("lex", min), ("revlex", max)])
+def test_conjugator_tiebreak_orders_root_permutations(tiebreak, pick):
+    # the minimal-length conjugator is unique in every group above, so the
+    # tiebreak only decides once the length function is flattened: then every
+    # w in W^K with w^-1 W_K' w = W_K ties
+    g = build_group(CoxeterSpec.from_name("A4"))
+    atlas = ParabolicAtlas(g, tiebreak=tiebreak)
+    g.length = [0] * g.order
+    for kp, k in _conjugate_pairs(atlas):
+        sub_kp, sub_k = g.subgroup(kp), g.subgroup(k)
+        tied = [w for w in g.min_coset_reps(k)
+                if {g.conj(t, w) for t in sub_kp} == sub_k]
+        assert atlas.conjugator(kp, k) == pick(tied, key=g.elements.__getitem__)
 
 
 def test_conjugator_set_equalities_f4_sampled(group_factory, atlas_factory):

@@ -110,20 +110,18 @@ def test_structure_constants_vanish_outside_k(constants_factory):
 
 def test_intersection_is_the_standard_parabolic(group_factory):
     # for a distinguished representative x the set x^-1 W_J x intersect W_K
-    # is exactly the standard parabolic on {s in K : x s x^-1 in W_J}
-    for name in ("A2", "B2", "A3"):
+    # is exactly the standard parabolic on the k in K with x alpha_k a simple
+    # root of J (root indices below the rank are the simple roots)
+    for name in ("A2", "B2", "A3", "H3", "B3", "D4", "I2(5)"):
         g = group_factory(name)
-        conj_gen = g.conj_gen
         for j in iter_subsets(g.rank):
             wj = g.subgroup(j)
-            bits = g.subgroup_bits(j)
             for k in iter_subsets(g.rank):
                 wk = g.subgroup(k)
                 for x in g.double_coset_reps(j, k):
-                    lmask = 0
-                    for i in subset_indices(k):
-                        if (bits >> conj_gen[x][i]) & 1:
-                            lmask |= 1 << i
+                    px = g.elements[x]
+                    lmask = sum(1 << i for i in subset_indices(k)
+                                if px[i] < g.rank and j >> px[i] & 1)
                     xi = g.inv(x)
                     conj_set = {g.mul(g.mul(xi, t), x) for t in wj}
                     assert conj_set & wk == g.subgroup(lmask)

@@ -26,6 +26,12 @@ def test_rational_strings():
     assert rational_from_string(" 7/21 ") == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", " 0/0 ", "5/-0"])
+def test_rational_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational_from_string(text)
+
+
 def test_rational_field_axioms_randomized():
     rng = random.Random(123)
 
