@@ -513,12 +513,6 @@ class CoxeterSystem:
             raise ValueError("side must be 'left' or 'right'")
         return [w for w in range(self.order) if not des[w] & mask]
 
-    def double_coset_reps(self, j_mask: int, k_mask: int) -> list[int]:
-        """The distinguished cross-section ^J W^K, sorted by element index."""
-        des_l, des_r = self.des_l, self.des_r
-        return [w for w in range(self.order)
-                if not des_l[w] & j_mask and not des_r[w] & k_mask]
-
     def double_coset_rep(self, w: int, j_mask: int, k_mask: int) -> int:
         """The unique minimal-length element of W_J w W_K."""
         des_l, des_r = self.des_l, self.des_r

@@ -3,13 +3,14 @@
 The algebra is spanned by the elements x_J (sums of minimal coset
 representatives); products expand as x_J x_K = sum over L of a_JKL x_L.
 This module computes the structure constants both by definition (counting
-distinguished double-coset representatives) and by the closed normalizer
-formula for the diagonal values a_JKK, in corrected and in the published
-naive variant; it builds action matrices and the eigenvalue/multiplicity
-report for the regular representation of any element.
+distinguished double-coset representatives, bucketed once per J so that a
+(J, K) table regroups the same count over at most 3^rank buckets) and by
+the closed normalizer formula for the diagonal values a_JKK, in corrected
+and in the published naive variant; it builds action matrices and the
+eigenvalue/multiplicity report for the regular representation of any element.
 
-StructureConstants memoizes per (J, K) under a lock, so a shared instance
-is safe for concurrent readers; everything else is immutable after build.
+StructureConstants memoizes rows and tables under a lock, so a shared
+instance is safe for concurrent readers; everything else is immutable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .coxeter import CoxeterSystem, ParabolicAtlas
 from .errors import InvariantError
-from .subsets import bergeron_sorted, iter_subsets, subset_indices, subset_name
+from .subsets import bergeron_sorted, iter_subsets, subset_name
 
 __all__ = [
     "DescentElement", "StructureConstants", "SpectrumReport",
@@ -90,36 +91,41 @@ class StructureConstants:
     """Lazy, memoized structure constants a_JKL of one group.
 
     table(J, K) counts, for each distinguished representative x in ^J W^K,
-    the subset L = {s in K : x s x^-1 in W_J}; by Solomon/Kilmoyer this L
-    generates the parabolic x^-1 W_J x intersect W_K.  For such x,
-    x s_k x^-1 lies in W_J iff x alpha_k is a simple root alpha_j with j in
-    J (Kilmoyer; Geck-Pfeiffer, Characters of Finite Coxeter Groups and
-    Iwahori-Hecke Algebras, 2.1), so L is read from x's simple-root images.
+    the subset L = {s in K : x s x^-1 in W_J}, which generates x^-1 W_J x
+    intersect W_K (Solomon/Kilmoyer).  x s_k x^-1 lies in W_J iff x alpha_k
+    is a simple root alpha_j with j in J (Geck-Pfeiffer, Characters of
+    Finite Coxeter Groups, 2.1), so L = P & K for P = {k : x alpha_k in
+    Delta_J}.  The row of J buckets ^J W once by (Des_R(x), P), at most
+    3^rank keys as k in P forces k not in Des_R(x); table(J, K) adds the
+    buckets with Des_R & K empty at L = P & K: the same x, the same L.
     """
 
     def __init__(self, group: CoxeterSystem):
         self.group = group
+        self._rows: dict[int, dict[tuple[int, int], int]] = {}
         self._memo: dict[tuple[int, int], dict[int, int]] = {}
         self._lock = threading.Lock()
 
     def table(self, j_mask: int, k_mask: int) -> dict[int, int]:
         """Sparse map L -> a_JKL (only L subset of K appear)."""
-        key = (j_mask, k_mask)
-        got = self._memo.get(key)
-        if got is not None:
+        if (got := self._memo.get((j_mask, k_mask))) is not None:
             return got
-        g = self.group
-        ks = subset_indices(k_mask)
+        if (row := self._rows.get(j_mask)) is None:
+            g, row = self.group, {}
+            for px, dl, dr in zip(g.elements, g.des_l, g.des_r):
+                if not dl & j_mask:
+                    p = 0
+                    for k in range(g.rank):
+                        if j_mask >> px[k] & 1:  # a mask has no bit >= rank
+                            p |= 1 << k
+                    row[dr, p] = row.get((dr, p), 0) + 1
         out: dict[int, int] = {}
-        for x in g.double_coset_reps(j_mask, k_mask):
-            px = g.elements[x]
-            lmask = 0
-            for i in ks:
-                if j_mask >> px[i] & 1:
-                    lmask |= 1 << i
-            out[lmask] = out.get(lmask, 0) + 1
+        for (dr, p), n in row.items():
+            if not dr & k_mask:
+                out[p & k_mask] = out.get(p & k_mask, 0) + n
         with self._lock:
-            self._memo[key] = out
+            self._rows[j_mask] = row
+            self._memo[j_mask, k_mask] = out
         return out
 
     def value(self, j_mask: int, k_mask: int, l_mask: int) -> int:

@@ -38,3 +38,10 @@ def constants_factory(group_factory):
         return _constants[name]
 
     return get
+
+
+def double_coset_reps(group, j_mask, k_mask):
+    """Reference scan of the distinguished cross-section ^J W^K: every w
+    with no left descent in J and no right descent in K, by element index."""
+    return [w for w in range(group.order)
+            if not group.des_l[w] & j_mask and not group.des_r[w] & k_mask]

@@ -6,6 +6,7 @@ import pytest
 from coxdesc.coxeter import ParabolicAtlas
 from coxdesc.descent import (
     DescentElement,
+    StructureConstants,
     action_matrix,
     ajkk_formula,
     ajkk_matrix,
@@ -25,6 +26,8 @@ from coxdesc.subsets import (
     subset_indices,
     subset_name,
 )
+
+from conftest import double_coset_reps
 
 
 def _random_element(rank, seed, basis="x"):
@@ -108,6 +111,16 @@ def test_structure_constants_vanish_outside_k(constants_factory):
                 assert l_mask & ~k == 0
 
 
+def _intersection_mask(g, x, j, k):
+    """L with x^-1 W_J x intersect W_K = W_L, found by conjugating in W."""
+    xi = g.inv(x)
+    inter = {g.mul(g.mul(xi, t), x) for t in g.subgroup(j)} & g.subgroup(k)
+    lmask = sum(1 << i for i in subset_indices(k)
+                if g.right_table[0][i] in inter)
+    assert inter == g.subgroup(lmask)
+    return lmask
+
+
 def test_intersection_is_the_standard_parabolic(group_factory):
     # for a distinguished representative x the set x^-1 W_J x intersect W_K
     # is exactly the standard parabolic on the k in K with x alpha_k a simple
@@ -115,16 +128,42 @@ def test_intersection_is_the_standard_parabolic(group_factory):
     for name in ("A2", "B2", "A3", "H3", "B3", "D4", "I2(5)"):
         g = group_factory(name)
         for j in iter_subsets(g.rank):
-            wj = g.subgroup(j)
             for k in iter_subsets(g.rank):
-                wk = g.subgroup(k)
-                for x in g.double_coset_reps(j, k):
+                for x in double_coset_reps(g, j, k):
                     px = g.elements[x]
                     lmask = sum(1 << i for i in subset_indices(k)
                                 if px[i] < g.rank and j >> px[i] & 1)
-                    xi = g.inv(x)
-                    conj_set = {g.mul(g.mul(xi, t), x) for t in wj}
-                    assert conj_set & wk == g.subgroup(lmask)
+                    assert lmask == _intersection_mask(g, x, j, k)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "A3", "B3", "H3", "D4", "I2(5)"])
+def test_tables_match_the_literal_definition(group_factory, name):
+    # a_JKL counted straight from the definition: x in ^J W^K by descents,
+    # L by conjugating W_J in the group, with no root images and no buckets
+    g = group_factory(name)
+    sc = StructureConstants(g)
+    for j in iter_subsets(g.rank):
+        for k in iter_subsets(g.rank):
+            counts = {}
+            for x in double_coset_reps(g, j, k):
+                lmask = _intersection_mask(g, x, j, k)
+                counts[lmask] = counts.get(lmask, 0) + 1
+            assert sc.table(j, k) == counts
+
+
+@pytest.mark.parametrize("name", ["B4", "H3"])
+def test_tables_independent_of_call_order(group_factory, name):
+    # the per-J rows are shared by every K; a row cached for, or filtered
+    # by, the first K asked would give later tables the wrong buckets
+    g = group_factory(name)
+    pairs = [(j, k) for j in iter_subsets(g.rank) for k in iter_subsets(g.rank)]
+    shuffled = list(pairs)
+    random.Random(5).shuffle(shuffled)
+    forward = StructureConstants(g)
+    expected = {pair: forward.table(*pair) for pair in pairs}
+    for order in (pairs[::-1], shuffled):
+        sc = StructureConstants(g)
+        assert {pair: sc.table(*pair) for pair in order} == expected
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "I2(5)", "A3"])
