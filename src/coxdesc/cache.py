@@ -12,8 +12,9 @@ malformed files and permutations that do not act like the group's generators
 are ignored (the group is rebuilt and the file rewritten).  A file that is
 used holds `rank` involutions of one root set in which s_i moves root i and
 s_i s_j has order m_ij, and every element of the group they generate is
-fixed by its images of the simple roots, the key CoxeterSystem enumerates
-by; so a cache load can merge no two elements.
+fixed by its images of the simple roots, which is all CoxeterSystem stores
+of an element (it enumerates by those of w^-1); so a cache load can merge no
+two elements.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _valid_perms(perms, spec) -> bool:
 
 def _simple_roots_identify(perms, rank) -> bool:
     """Does every element of the group the permutations generate follow from
-    its images of the simple roots 0..rank-1 (the key CoxeterSystem uses)?
+    its images of the simple roots 0..rank-1 (all CoxeterSystem stores)?
 
     True when every root x is reached from a simple root, and the reflection
     t_x, set to s_i on root i and to s_i t_x s_i on s_i x, is well defined.

@@ -5,13 +5,12 @@ Coxeter graph (Humphreys, Reflection Groups and Coxeter Groups, ch. 2)
 decides up front whether W is finite and gives |W| and |Phi|; an infinite or
 oversized group is refused before any other work.  The root system of the
 geometric realization is closed under the simple reflections over a prime
-field (exact, since the closure must reach exactly |Phi| roots), and each
-element is stored as the permutation it induces on the roots.  The geometric
-representation is faithful and the simple roots are a basis (Humphreys,
-Reflection Groups and Coxeter Groups, 5.3-5.4), so an element is identified
-by its images of the simple roots, root indices 0..rank-1: `index` is keyed
-by those rank images, and products are composed only there.  Everything
-after the build is integer table work.
+field (exact, since the closure must reach exactly |Phi| roots).  The
+geometric representation is faithful and the simple roots are a basis
+(Humphreys, Reflection Groups and Coxeter Groups, 5.3-5.4), so an element is
+fixed by its images of the simple roots, root indices 0..rank-1, and those
+rank images are all that is stored of it.  Everything after the build is
+integer table work.
 
 CoxeterSystem and ParabolicAtlas are immutable once built (the lazy caches
 are guarded), so instances can be shared freely across threads; the build
@@ -293,6 +292,8 @@ class CoxeterSystem:
     enumeration is breadth-first over right multiplication by generators
     (ascending generator index), so it is deterministic and length-graded.
     It must reach exactly the |W| of `group_sizes` (InvariantError).
+    `elements[w]` holds w's images of the simple roots as root indices:
+    w alpha_i is root `elements[w][i]`.
     """
 
     def __init__(self, spec: CoxeterSpec, gen_perms):
@@ -328,12 +329,12 @@ class CoxeterSystem:
         return positive
 
     def _enumerate(self, predicted):
+        # keyed by the simple-root images of w^-1: (w s_i)^-1 = s_i w^-1, so
+        # key(w s_i) is s_i applied to key(w), rank lookups per product
         rank = self.rank
         gens = self.gen_perms
-        heads = [g[:rank] for g in gens]
-        identity = tuple(range(self.num_roots))
-        elements = [identity]
-        index = {identity[:rank]: 0}
+        keys = [tuple(range(rank))]
+        index = {keys[0]: 0}
         rt = [[0] * rank]
         length = [0]
         parent = [(-1, -1)]
@@ -341,30 +342,28 @@ class CoxeterSystem:
         while frontier:
             nxt = []
             for w in frontier:
-                pw = elements[w]
+                kw = keys[w]
                 row = rt[w]
-                for i, head in enumerate(heads):
-                    key = tuple([pw[x] for x in head])
+                for i, g in enumerate(gens):
+                    key = tuple([g[x] for x in kw])
                     idx = index.get(key)
                     if idx is None:
-                        idx = len(elements)
+                        idx = len(keys)
                         if idx == predicted:
                             raise InvariantError(
                                 f"enumeration exceeds |W| = {predicted}")
                         index[key] = idx
-                        elements.append(tuple([pw[x] for x in gens[i]]))
+                        keys.append(key)
                         rt.append([0] * rank)
                         length.append(length[w] + 1)
                         parent.append((w, i))
                         nxt.append(idx)
                     row[i] = idx
             frontier = nxt
-        if len(elements) != predicted:
+        if len(keys) != predicted:
             raise InvariantError(
-                f"enumerated {len(elements)} elements, not |W| = {predicted}")
-        self.order = len(elements)
-        self.elements = elements
-        self.index = index
+                f"enumerated {len(keys)} elements, not |W| = {predicted}")
+        self.order = len(keys)
         self.right_table = rt
         self.length = length
         self.parent = parent
@@ -378,6 +377,7 @@ class CoxeterSystem:
             inv.append(lt[inv[v]][i])
         self.left_table = lt
         self.inverse = inv
+        self.elements = [keys[v] for v in inv]
         full = (1 << rank) - 1
         des_r = []
         des_l = []
@@ -401,11 +401,12 @@ class CoxeterSystem:
     # -- basic operations ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        row = self._mult_rows.get(a)
-        if row is not None:
-            return row[b]
-        pa, pb = self.elements[a], self.elements[b]
-        return self.index[tuple([pa[x] for x in pb[:self.rank]])]
+        """Index of ab, along a's stored word: if a = v s_i, ab = v (s_i b)."""
+        parent, lt = self.parent, self.left_table
+        while a:
+            a, i = parent[a]
+            b = lt[b][i]
+        return b
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -422,10 +423,6 @@ class CoxeterSystem:
             w, i = self.parent[w]
             out.append(i)
         return tuple(reversed(out))
-
-    def descent_sets(self, w: int) -> tuple[int, int]:
-        """(left descent mask, right descent mask)."""
-        return self.des_l[w], self.des_r[w]
 
     def mult_row(self, u: int) -> list[int]:
         """Row of the multiplication table: index of u*v for every v."""
@@ -458,22 +455,10 @@ class CoxeterSystem:
         if self._conj_gen is None:
             with self._lock:
                 if self._conj_gen is None:
-                    table = []
-                    for w, pw in enumerate(self.elements):
-                        ip = self.elements[self.inverse[w]][:self.rank]
-                        table.append([self.index[tuple([pw[g[x]] for x in ip])]
-                                      for g in self.gen_perms])
-                    self._conj_gen = table
+                    self._conj_gen = [[self.mul(row[i], self.inverse[w])
+                                       for i in range(self.rank)]
+                                      for w, row in enumerate(self.right_table)]
         return self._conj_gen
-
-    # -- roots ---------------------------------------------------------------
-
-    def length_by_roots(self, w: int) -> int:
-        """Number of positive roots sent negative by w (equals l(w))."""
-        pw = self.elements[w]
-        signs = self.root_signs
-        return sum(1 for r in range(self.num_roots)
-                   if signs[r] > 0 and signs[pw[r]] < 0)
 
     # -- parabolic subgroups and cosets ---------------------------------------
 
@@ -512,31 +497,6 @@ class CoxeterSystem:
         else:
             raise ValueError("side must be 'left' or 'right'")
         return [w for w in range(self.order) if not des[w] & mask]
-
-    def double_coset_rep(self, w: int, j_mask: int, k_mask: int) -> int:
-        """The unique minimal-length element of W_J w W_K."""
-        des_l, des_r = self.des_l, self.des_r
-        lt, rt = self.left_table, self.right_table
-        while True:
-            dl = des_l[w] & j_mask
-            if dl:
-                w = lt[w][(dl & -dl).bit_length() - 1]
-                continue
-            dr = des_r[w] & k_mask
-            if dr:
-                w = rt[w][(dr & -dr).bit_length() - 1]
-                continue
-            return w
-
-    def coxeter_element(self, mask: int, order_reversed: bool = False) -> int:
-        """Product of the generators of J, ascending index by default."""
-        gens = subset_indices(mask)
-        if order_reversed:
-            gens = gens[::-1]
-        w = 0
-        for i in gens:
-            w = self.right_table[w][i]
-        return w
 
     def conjugacy_class(self, x: int) -> frozenset:
         """Orbit of x under conjugation, by generator-conjugation BFS."""
@@ -591,22 +551,17 @@ class ParabolicAtlas:
 
     Classes are ordered descending by the Bergeron order of their minimal
     representatives (class 0 is the class of the empty set).  Conjugating
-    elements between class members are fixed deterministically: minimal
-    length, ties broken by the lexicographically smallest root permutation
-    (or largest, with tiebreak="revlex").
+    elements between class members are fixed deterministically: the first
+    minimal-length one in element-index order.
     """
 
-    def __init__(self, group: CoxeterSystem, tiebreak: str = "lex"):
-        if tiebreak not in ("lex", "revlex"):
-            raise ValueError("tiebreak must be 'lex' or 'revlex'")
+    def __init__(self, group: CoxeterSystem):
         self.group = group
-        self.tiebreak = tiebreak
         rank = group.rank
         self.all_masks = list(iter_subsets(rank))
         self._lock = threading.Lock()
         self._conjugators: dict[tuple[int, int], int] = {}
         self._nj: dict[int, frozenset] = {}
-        self._class_sizes: dict[int, int] = {}
         self._closure_counts = None
         self._build_classes()
 
@@ -668,27 +623,6 @@ class ParabolicAtlas:
             for m in members:
                 self.class_of[m] = idx
 
-    # -- Coxeter elements ------------------------------------------------------
-
-    def coxeter_class_size(self, mask: int, order_reversed: bool = False) -> int:
-        """Size of the conjugacy class of the Coxeter element c_J.
-
-        Note: this is the literal orbit size.  The spectral multiplicity
-        attached to a parabolic class is `closure_class_counts`, which
-        coincides with this orbit size in type A but not in general (in H3
-        the two classes of order-5 rotations merge into one closure count).
-        """
-        if order_reversed:
-            g = self.group
-            return len(g.conjugacy_class(g.coxeter_element(mask, order_reversed=True)))
-        got = self._class_sizes.get(mask)
-        if got is None:
-            g = self.group
-            got = len(g.conjugacy_class(g.coxeter_element(mask)))
-            with self._lock:
-                self._class_sizes[mask] = got
-        return got
-
     # -- parabolic closures ------------------------------------------------------
 
     def closure_class_counts(self) -> list[int]:
@@ -735,7 +669,8 @@ class ParabolicAtlas:
 
         The minimal-length elements of {c : c^-1 W_K' c = W_K} lie in W^K
         and are exactly the minimal-length w with w Delta_K = Delta_K'
-        (Howlett, J. London Math. Soc. 21, 1980); the tiebreak picks one.
+        (Howlett, J. London Math. Soc. 21, 1980).  Element indices are
+        length-graded, so the first w with w Delta_K = Delta_K' is one.
         """
         if self.class_of[kp_mask] != self.class_of[k_mask]:
             raise ValueError("not conjugate")
@@ -747,16 +682,8 @@ class ParabolicAtlas:
             return got
         g = self.group
         gens = subset_indices(k_mask)
-        elements, length = g.elements, g.length
-        cands = []
-        for w in range(g.order):  # length-graded: stop past the first hits
-            if cands and length[w] > length[cands[0]]:
-                break
-            if all(kp_mask >> elements[w][k] & 1 for k in gens):
-                cands.append(w)
-        keyfun = (lambda x: g.elements[x]) if self.tiebreak == "lex" \
-            else (lambda x: tuple(-v for v in g.elements[x]))
-        c = min(cands, key=keyfun)
+        c = next(w for w, pw in enumerate(g.elements)
+                 if all(kp_mask >> pw[k] & 1 for k in gens))
         # checked by conjugating in the group, not by the root test
         sub_k = g.subgroup(k_mask)
         assert all(g.conj(g.right_table[0][i], c) in sub_k

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coxeter import CoxeterSystem, ParabolicAtlas
 from .errors import InvariantError
-from .subsets import bergeron_sorted, iter_subsets, subset_name
+from .subsets import iter_subsets, subset_name
 
 __all__ = [
     "DescentElement", "StructureConstants", "SpectrumReport",
@@ -222,10 +222,6 @@ def action_matrix(d: DescentElement, constants: StructureConstants,
                 mat[pos[l_mask]][col] += cj * mult
     vec = [dx.coeff(m) for m in order]
     return mat, vec, order
-
-
-def bergeron_descending_order(rank: int) -> list[int]:
-    return bergeron_sorted(iter_subsets(rank), rank, descending=True)
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,6 @@ def poly_trim_mod(c):
     return c
 
 
-def poly_mul_mod(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return poly_trim_mod(out)
-
-
 def poly_divmod_mod(a, b, p):
     a = [x % p for x in a]
     b = poly_trim_mod([x % p for x in b])

@@ -38,7 +38,7 @@ from coxdesc.subsets import (
 )
 from coxdesc.weights import random_weights
 
-from conftest import double_coset_reps
+from conftest import double_coset_rep, double_coset_reps
 
 
 def _pass(n, msg):
@@ -359,7 +359,7 @@ def test_criterion_6c_conjugator_set_equalities(group_factory):
                     nkp_c = {group.mul(x, c)
                              for x in atlas.normalizer_complement(kp)}
                     assert lhs == c_nk == nkp_c
-                    assert {group.double_coset_rep(x, kp, k)
+                    assert {double_coset_rep(group, x, kp, k)
                             for x in c_nk} == c_nk
                     checked += 1
     assert checked > 0

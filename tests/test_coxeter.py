@@ -21,7 +21,13 @@ from coxdesc.subsets import (
     subset_name,
 )
 
-from conftest import double_coset_reps
+from conftest import (
+    coxeter_class_size,
+    double_coset_rep,
+    double_coset_reps,
+    length_by_roots,
+    root_permutation,
+)
 
 KNOWN_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
@@ -83,8 +89,9 @@ def test_mult_row_matches_mul(group_factory):
         row = g.mult_row(u)
         for _ in range(10):
             v = rng.randrange(g.order)
-            pa, pb = g.elements[u], g.elements[v]
-            assert g.elements[row[v]] == tuple(pa[x] for x in pb)
+            pa, pb = root_permutation(g, u), root_permutation(g, v)
+            assert root_permutation(g, row[v]) == tuple(pa[x] for x in pb)
+            assert g.mul(u, v) == row[v]
 
 
 def test_right_multiplication_changes_length_by_one(group_factory):
@@ -105,10 +112,10 @@ def test_descent_sets(group_factory):
     for name in ("A2", "B2", "A3", "H3"):
         g = group_factory(name)
         full = (1 << g.rank) - 1
-        assert g.descent_sets(0) == (0, 0)
-        assert g.descent_sets(g.longest) == (full, full)
+        assert (g.des_l[0], g.des_r[0]) == (0, 0)
+        assert (g.des_l[g.longest], g.des_r[g.longest]) == (full, full)
         for w in range(g.order):
-            dl, dr = g.descent_sets(w)
+            dl, dr = g.des_l[w], g.des_r[w]
             assert dl == g.des_r[g.inv(w)]
             assert dr == g.des_l[g.inv(w)]
     a2 = group_factory("A2")
@@ -120,11 +127,11 @@ def test_length_equals_root_count(group_factory):
     for name in ("A2", "A3", "B2", "B3", "D4", "H3", "I2(7)", "I2(12)"):
         g = group_factory(name)
         for w in range(g.order):
-            assert g.length[w] == g.length_by_roots(w)
+            assert g.length[w] == length_by_roots(g, w)
     f4 = group_factory("F4")
     rng = random.Random(1)
     for w in [0, f4.longest] + [rng.randrange(f4.order) for _ in range(50)]:
-        assert f4.length[w] == f4.length_by_roots(w)
+        assert f4.length[w] == length_by_roots(f4, w)
 
 
 # Explicit matrices for groups without a CLI name (as in perfbench/workloads.py).
@@ -152,7 +159,7 @@ def test_root_signs_from_closure(group_factory, name):
     for i, perm in enumerate(g.gen_perms):
         # s_i sends alpha_i, and no other positive root, negative
         assert [r for r in positive if signs[perm[r]] < 0] == [i]
-    assert g.length_by_roots(g.longest) == len(positive)
+    assert length_by_roots(g, g.longest) == len(positive)
 
 
 def _block(*matrices):
@@ -284,9 +291,10 @@ def _full_permutation_tables(gen_perms):
         return [sum(1 << i for i, v in enumerate(row) if length[v] < length[w])
                 for w, row in enumerate(table)]
 
-    return {"elements": elements, "length": length, "right_table": right,
-            "left_table": left, "inverse": inverse, "des_r": descents(right),
-            "des_l": descents(left), "conj_gen": conj}
+    return {"elements": elements, "index": index, "length": length,
+            "right_table": right, "left_table": left, "inverse": inverse,
+            "des_r": descents(right), "des_l": descents(left),
+            "conj_gen": conj}
 
 
 @pytest.mark.parametrize("name", SIGN_GROUPS)
@@ -296,14 +304,16 @@ def test_simple_root_key_matches_full_permutations(group_factory, name):
     else:
         g = group_factory(name)
     ref = _full_permutation_tables(g.gen_perms)
+    full, index = ref.pop("elements"), ref.pop("index")
     for attr, want in ref.items():
         assert getattr(g, attr) == want, attr
-    assert len(g.index) == g.order
+    assert g.elements == [pw[:g.rank] for pw in full]
+    assert all(len(e) == g.rank for e in g.elements)
     rng = random.Random(2)
     for _ in range(50):
         a, b = rng.randrange(g.order), rng.randrange(g.order)
-        pa, pb = g.elements[a], g.elements[b]
-        assert g.elements[g.mul(a, b)] == tuple(pa[x] for x in pb)
+        pa, pb = full[a], full[b]
+        assert g.mul(a, b) == index[tuple(pa[x] for x in pb)]
 
 
 def test_longest_element_length(group_factory):
@@ -370,15 +380,15 @@ def test_double_coset_rep(group_factory):
     a2 = group_factory("A2")
     s1, s2 = a2.right_table[0][0], a2.right_table[0][1]
     w = a2.mul(a2.mul(s1, s2), s1)
-    assert a2.double_coset_rep(w, 0b01, 0b01) == s2
+    assert double_coset_rep(a2, w, 0b01, 0b01) == s2
     for j in iter_subsets(2):
         for k in iter_subsets(2):
-            assert a2.double_coset_rep(0, j, k) == 0
+            assert double_coset_rep(a2, 0, j, k) == 0
     # members of W_J reduce to the identity on the left
     b2 = group_factory("B2")
     for j in iter_subsets(2):
         for w in b2.subgroup(j):
-            assert b2.double_coset_rep(w, j, 0) == 0
+            assert double_coset_rep(b2, w, j, 0) == 0
     # representative is independent of the coset member sampled
     g = group_factory("B3")
     rng = random.Random(3)
@@ -386,13 +396,13 @@ def test_double_coset_rep(group_factory):
         j = rng.randrange(8)
         k = rng.randrange(8)
         w = rng.randrange(g.order)
-        x = g.double_coset_rep(w, j, k)
+        x = double_coset_rep(g, w, j, k)
         wj, wk = sorted(g.subgroup(j)), sorted(g.subgroup(k))
         for _ in range(10):
             u = rng.choice(wj)
             v = rng.choice(wk)
             member = g.mul(g.mul(u, w), v)
-            assert g.double_coset_rep(member, j, k) == x
+            assert double_coset_rep(g, member, j, k) == x
 
 
 def test_double_coset_cross_section(group_factory):
@@ -400,7 +410,7 @@ def test_double_coset_cross_section(group_factory):
     for j in iter_subsets(3):
         for k in iter_subsets(3):
             reps = double_coset_reps(g, j, k)
-            assert reps == sorted({g.double_coset_rep(w, j, k)
+            assert reps == sorted({double_coset_rep(g, w, j, k)
                                    for w in range(g.order)})
 
 
@@ -489,7 +499,7 @@ def test_conjugator_coset_set_equalities(group_factory, name):
         c_nk = {row_c[x] for x in atlas.normalizer_complement(k)}
         nkp_c = {g.mul(x, c) for x in atlas.normalizer_complement(kp)}
         assert lhs == c_nk == nkp_c
-        assert {g.double_coset_rep(x, kp, k) for x in c_nk} == c_nk
+        assert {double_coset_rep(g, x, kp, k) for x in c_nk} == c_nk
 
 
 # sha256 of the parabolic data below, recorded when N_J, the classes, the
@@ -530,16 +540,17 @@ def _atlas_digest(g):
     sc = StructureConstants(g)
     data = {"tables": [[sorted(sc.table(j, k).items()) for k in masks]
                        for j in masks]}
-    for tiebreak in ("lex", "revlex"):
-        atlas = ParabolicAtlas(g, tiebreak=tiebreak)
-        data[tiebreak] = {
-            "classes": atlas.classes,
-            "nj": [sorted(atlas.normalizer_complement(m)) for m in masks],
-            "ajkk": [ajkk_matrix(atlas, mode)
-                     for mode in ("corrected", "bbht_naive")],
-            "conjugators": [atlas.conjugator(kp, k)
-                            for kp, k in _conjugate_pairs(atlas)],
-        }
+    atlas = ParabolicAtlas(g)
+    # the digests were recorded with the atlas under two keys, one per way of
+    # breaking conjugator ties; no tie occurs (test_minimal_conjugator_is_unique)
+    data["lex"] = data["revlex"] = {
+        "classes": atlas.classes,
+        "nj": [sorted(atlas.normalizer_complement(m)) for m in masks],
+        "ajkk": [ajkk_matrix(atlas, mode)
+                 for mode in ("corrected", "bbht_naive")],
+        "conjugators": [atlas.conjugator(kp, k)
+                        for kp, k in _conjugate_pairs(atlas)],
+    }
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
 
@@ -552,19 +563,22 @@ def test_atlas_and_structure_constants_match_recorded(group_factory, name):
     assert _atlas_digest(g) == ATLAS_DIGESTS[name]
 
 
-@pytest.mark.parametrize("tiebreak,pick", [("lex", min), ("revlex", max)])
-def test_conjugator_tiebreak_orders_root_permutations(tiebreak, pick):
-    # the minimal-length conjugator is unique in every group above, so the
-    # tiebreak only decides once the length function is flattened: then every
-    # w in W^K with w^-1 W_K' w = W_K ties
-    g = build_group(CoxeterSpec.from_name("A4"))
-    atlas = ParabolicAtlas(g, tiebreak=tiebreak)
-    g.length = [0] * g.order
+@pytest.mark.parametrize("name", SIGN_GROUPS)
+def test_minimal_conjugator_is_unique(group_factory, name):
+    # the conjugator is the first hit in index order; that pick is only
+    # canonical while no two minimal-length w with w Delta_K = Delta_K' tie
+    if name in EXPLICIT_MATRICES:
+        g = build_group(CoxeterSpec.from_matrix(EXPLICIT_MATRICES[name]))
+    else:
+        g = group_factory(name)
+    atlas = ParabolicAtlas(g)
     for kp, k in _conjugate_pairs(atlas):
-        sub_kp, sub_k = g.subgroup(kp), g.subgroup(k)
-        tied = [w for w in g.min_coset_reps(k)
-                if {g.conj(t, w) for t in sub_kp} == sub_k]
-        assert atlas.conjugator(kp, k) == pick(tied, key=g.elements.__getitem__)
+        gens = subset_indices(k)
+        hits = [w for w in g.min_coset_reps(k)
+                if all(kp >> g.elements[w][i] & 1 for i in gens)]
+        least = min(g.length[w] for w in hits)
+        shortest = [w for w in hits if g.length[w] == least]
+        assert shortest == [atlas.conjugator(kp, k)], (kp, k)
 
 
 def test_conjugator_set_equalities_f4_sampled(group_factory, atlas_factory):
@@ -584,19 +598,19 @@ def test_conjugator_set_equalities_f4_sampled(group_factory, atlas_factory):
         c_nk = {row_c[x] for x in atlas.normalizer_complement(k)}
         nkp_c = {g.mul(x, c) for x in atlas.normalizer_complement(kp)}
         assert lhs == c_nk == nkp_c
-        assert {g.double_coset_rep(x, kp, k) for x in c_nk} == c_nk
+        assert {double_coset_rep(g, x, kp, k) for x in c_nk} == c_nk
 
 
 def test_coxeter_class_size_order_independent(atlas_factory):
     for name in ("A3", "B3", "H3", "F4"):
         atlas = atlas_factory(name)
         for mask in iter_subsets(atlas.group.rank):
-            assert atlas.coxeter_class_size(mask) == \
-                atlas.coxeter_class_size(mask, order_reversed=True)
+            assert coxeter_class_size(atlas.group, mask) == \
+                coxeter_class_size(atlas.group, mask, order_reversed=True)
 
 
 def test_coxeter_class_size_identity(atlas_factory):
-    assert atlas_factory("A3").coxeter_class_size(0) == 1
+    assert coxeter_class_size(atlas_factory("A3").group, 0) == 1
 
 
 def test_closure_counts_small(group_factory):
@@ -625,11 +639,11 @@ def test_closure_counts_versus_orbit_in_type_a(atlas_factory):
         atlas = atlas_factory(name)
         counts = atlas.closure_class_counts()
         for idx, (rep, _) in enumerate(atlas.classes):
-            assert counts[idx] == atlas.coxeter_class_size(rep)
+            assert counts[idx] == coxeter_class_size(atlas.group, rep)
     h3 = atlas_factory("H3")
     i = h3.class_of[subset_from_name("s1,s2", 3)]
     assert h3.closure_class_counts()[i] == 24
-    assert h3.coxeter_class_size(subset_from_name("s1,s2", 3)) == 12
+    assert coxeter_class_size(h3.group, subset_from_name("s1,s2", 3)) == 12
 
 
 def test_word_is_reduced(group_factory):

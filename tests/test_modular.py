@@ -10,10 +10,11 @@ from coxdesc.modular import (
     poly_divides_mod,
     poly_divmod_mod,
     poly_gcd_mod,
-    poly_mul_mod,
     poly_squarefree_part_mod,
     primes_below,
 )
+
+from conftest import poly_mul_mod
 
 
 def faddeev_charpoly(matrix):
