@@ -3,7 +3,7 @@
     coxdesc group <SPEC>
     coxdesc table <SPEC> --what ajkk|ajkk-naive|structure --format json|csv|text
     coxdesc spectrum <SPEC> [--weights FILE | --preset uniform|qmaj:Q|desx:X1,..,Xn]
-    coxdesc verify <SPEC> [--weights ...] [--primes P1,P2,..] [--seed N] [--certify]
+    coxdesc verify <SPEC> [--weights ... | --preset ...] [--primes P1,P2,..] [--seed N] [--certify]
     coxdesc counterexample
 
 SPEC is a type name (A1-A6, B2-B4, D4, H3, F4, I2(m)) or @path/to/matrix.json.
@@ -202,9 +202,9 @@ def cmd_table(args) -> int:
 
 
 def _resolve_weights(args, spec: CoxeterSpec, default_seed=None) -> DescentElement:
-    if getattr(args, "weights", None):
+    if args.weights:
         return weights_mod.load_weight_file(args.weights, spec.rank)
-    if getattr(args, "preset", None):
+    if args.preset:
         return weights_mod.parse_preset(args.preset, spec)
     if default_seed is not None:
         return weights_mod.random_weights(spec.rank, default_seed)
@@ -335,6 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group cache directory (default $COXDESC_CACHE or .coxdesc-cache)")
         p.add_argument("--no-cache", action="store_true")
 
+    def add_weights(p):
+        given = p.add_mutually_exclusive_group()
+        given.add_argument("--weights", help="JSON weight file")
+        given.add_argument("--preset", help="uniform | qmaj:Q | desx:X1,..,Xn")
+
     p = sub.add_parser("group", help="order, classes, normalizer data")
     p.add_argument("spec")
     add_common(p)
@@ -349,15 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues and multiplicities")
     p.add_argument("spec")
-    p.add_argument("--weights", help="JSON weight file")
-    p.add_argument("--preset", help="uniform | qmaj:Q | desx:X1,..,Xn")
+    add_weights(p)
     add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="charpoly oracle for the spectrum")
     p.add_argument("spec")
-    p.add_argument("--weights", help="JSON weight file")
-    p.add_argument("--preset", help="uniform | qmaj:Q | desx:X1,..,Xn")
+    add_weights(p)
     p.add_argument("--primes",
                    help="comma-separated prime moduli p, |W| < p < 2^62")
     p.add_argument("--seed", type=int, default=0,

@@ -22,17 +22,13 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import factorial, lcm
 from operator import mul
 
 from .errors import GroupTooLargeError, InvariantError
 from .modular import prime_one_mod, root_of_unity
-from .subsets import (
-    bergeron_compare,
-    bergeron_sorted,
-    iter_subsets,
-    subset_indices,
-)
+from .subsets import bergeron_compare, iter_subsets, subset_indices
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 
@@ -395,8 +391,10 @@ class CoxeterSystem:
         self.des_r = des_r
         self.des_l = des_l
         self.longest = max(range(self.order), key=lambda w: length[w])
-        assert des_r[self.longest] == full and des_l[self.longest] == full
-        assert sum(1 for w in range(self.order) if length[w] == 0) == 1
+        if des_r[self.longest] != full or des_l[self.longest] != full:
+            raise InvariantError("the longest element lacks a descent")
+        if length.count(0) != 1:
+            raise InvariantError("more than one element of length 0")
 
     # -- basic operations ----------------------------------------------------
 
@@ -549,10 +547,12 @@ def build_group(spec: CoxeterSpec, use_cache: bool = False,
 class ParabolicAtlas:
     """Per-subset parabolic data and the conjugacy classes of parabolics.
 
-    Classes are ordered descending by the Bergeron order of their minimal
-    representatives (class 0 is the class of the empty set).  Conjugating
-    elements between class members are fixed deterministically: the first
-    minimal-length one in element-index order.
+    Everything is read from one root-image table per subset K, `images(K)`:
+    the w with w Delta_K = Delta_J, grouped by J (Howlett, J. London Math.
+    Soc. 21, 1980).  W_K and W_J are conjugate iff J is a key, N_K is the
+    entry at K, and the conjugator c_{K'K} is the first w at K'.  Classes
+    are ordered descending by the Bergeron order of their minimal
+    representatives (class 0 is the class of the empty set).
     """
 
     def __init__(self, group: CoxeterSystem):
@@ -560,68 +560,57 @@ class ParabolicAtlas:
         rank = group.rank
         self.all_masks = list(iter_subsets(rank))
         self._lock = threading.Lock()
-        self._conjugators: dict[tuple[int, int], int] = {}
-        self._nj: dict[int, frozenset] = {}
+        self._images: dict[int, dict[int, list[int]]] = {}
         self._closure_counts = None
-        self._build_classes()
+        keyf = cmp_to_key(lambda a, b: bergeron_compare(a, b, rank))
+        classes, placed = [], set()
+        for mask in self.all_masks:
+            if mask not in placed:
+                members = sorted(self.images(mask))
+                placed.update(members)
+                classes.append((min(members, key=keyf), members))
+        # classes descending by the Bergeron order of their representatives
+        classes.sort(key=lambda rc: keyf(rc[0]), reverse=True)
+        self.classes = classes
+        self.p = len(classes)
+        self.class_reps = [rep for rep, _ in classes]
+        self.class_of = {m: idx for idx, (_, members) in enumerate(classes)
+                         for m in members}
 
-    # -- normalizer complements ----------------------------------------------
+    def images(self, k_mask: int) -> dict[int, list[int]]:
+        """{J: [w, ...]}: every w with w Delta_K = Delta_J, by element index.
+
+        w alpha_k is root `elements[w][k]`, and root index r < rank is
+        alpha_r.  Such a w is in W^K, since a simple root is positive, so
+        only W^K is scanned.
+        """
+        got = self._images.get(k_mask)
+        if got is not None:
+            return got
+        g = self.group
+        rank = g.rank
+        gens = subset_indices(k_mask)
+        table: dict[int, list[int]] = {}
+        for w in g.min_coset_reps(k_mask):
+            pw = g.elements[w]
+            j_mask = 0
+            for k in gens:
+                if pw[k] >= rank:
+                    break
+                j_mask |= 1 << pw[k]
+            else:
+                table.setdefault(j_mask, []).append(w)
+        with self._lock:
+            self._images[k_mask] = table
+        return table
 
     def normalizer_complement(self, mask: int) -> frozenset:
         """N_J: minimal coset representatives w with w^-1 W_J w = W_J.
 
-        w in W^J normalizes W_J iff it permutes the simple roots Delta_J
-        (Howlett, J. London Math. Soc. 21, 1980), read from w's images of
-        the simple roots: root index r < rank is alpha_r.
+        w in W^J normalizes W_J iff it permutes Delta_J: the entry of
+        `images(J)` at J itself.
         """
-        got = self._nj.get(mask)
-        if got is not None:
-            return got
-        g = self.group
-        gens = subset_indices(mask)
-        res = frozenset(w for w in g.min_coset_reps(mask, "right")
-                        if all(mask >> g.elements[w][i] & 1 for i in gens))
-        with self._lock:
-            self._nj[mask] = res
-        return res
-
-    # -- parabolic conjugacy classes ------------------------------------------
-
-    def _conjugate_parabolics(self, j_mask: int, k_mask: int) -> bool:
-        """Whether some w in W^K has w Delta_K = Delta_J (w W_K w^-1 = W_J)."""
-        g = self.group
-        if len(g.subgroup(j_mask)) != len(g.subgroup(k_mask)):
-            return False
-        gens = subset_indices(k_mask)
-        return any(all(j_mask >> g.elements[w][k] & 1 for k in gens)
-                   for w in g.min_coset_reps(k_mask, "right"))
-
-    def _build_classes(self):
-        rank = self.group.rank
-        classes: list[list[int]] = []
-        for mask in iter_subsets(rank):
-            for cls in classes:
-                if self._conjugate_parabolics(cls[0], mask):
-                    cls.append(mask)
-                    break
-            else:
-                classes.append([mask])
-        from functools import cmp_to_key
-
-        keyf = cmp_to_key(lambda a, b: bergeron_compare(a, b, rank))
-        with_reps = []
-        for cls in classes:
-            rep = bergeron_sorted(cls, rank, descending=False)[0]
-            with_reps.append((rep, sorted(cls)))
-        # classes descending by the Bergeron order of their representatives
-        with_reps.sort(key=lambda rc: keyf(rc[0]), reverse=True)
-        self.classes = with_reps
-        self.p = len(with_reps)
-        self.class_reps = [rep for rep, _ in with_reps]
-        self.class_of = {}
-        for idx, (_, members) in enumerate(with_reps):
-            for m in members:
-                self.class_of[m] = idx
+        return frozenset(self.images(mask)[mask])
 
     # -- parabolic closures ------------------------------------------------------
 
@@ -654,7 +643,8 @@ class ParabolicAtlas:
             for u in g.subgroup(mask):
                 if best[label[u]] is None:
                     best[label[u]] = self.class_of[mask]
-        assert None not in best
+        if None in best:
+            raise InvariantError("a conjugacy class meets no standard parabolic")
         counts = [0] * self.p
         for cls, size in zip(best, sizes):
             counts[cls] += size
@@ -670,26 +660,20 @@ class ParabolicAtlas:
         The minimal-length elements of {c : c^-1 W_K' c = W_K} lie in W^K
         and are exactly the minimal-length w with w Delta_K = Delta_K'
         (Howlett, J. London Math. Soc. 21, 1980).  Element indices are
-        length-graded, so the first w with w Delta_K = Delta_K' is one.
+        length-graded, so c is the first w of `images(K)` at K'.
+        ValueError when W_K' and W_K are not conjugate.
         """
-        if self.class_of[kp_mask] != self.class_of[k_mask]:
+        hits = self.images(k_mask).get(kp_mask)
+        if hits is None:
             raise ValueError("not conjugate")
-        if kp_mask == k_mask:
-            return 0
-        key = (kp_mask, k_mask)
-        got = self._conjugators.get(key)
-        if got is not None:
-            return got
-        g = self.group
-        gens = subset_indices(k_mask)
-        c = next(w for w, pw in enumerate(g.elements)
-                 if all(kp_mask >> pw[k] & 1 for k in gens))
+        c = hits[0]
         # checked by conjugating in the group, not by the root test
+        g = self.group
         sub_k = g.subgroup(k_mask)
-        assert all(g.conj(g.right_table[0][i], c) in sub_k
-                   for i in subset_indices(kp_mask))
-        with self._lock:
-            self._conjugators[key] = c
+        if not all(g.conj(g.right_table[0][i], c) in sub_k
+                   for i in subset_indices(kp_mask)):
+            raise InvariantError(
+                f"conjugator {c} does not conjugate W_{kp_mask} into W_{k_mask}")
         return c
 
     def __repr__(self):

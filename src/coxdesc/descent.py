@@ -159,7 +159,9 @@ def ajkk_formula(atlas: ParabolicAtlas, j_mask: int, k_mask: int,
             if g.des_l[c] & j_mask:
                 continue  # c_{K'K} != ^J c_{K'K}
         inter = len(w_j & atlas.normalizer_complement(kp))
-        assert n_k % inter == 0
+        if n_k % inter:
+            raise InvariantError(f"|W_J & N_K'| = {inter} does not divide "
+                                 f"|N_K| = {n_k}")
         total += n_k // inter
     return total
 
@@ -295,9 +297,10 @@ def solve_class_vector(atlas: ParabolicAtlas, matrix: list[list[int]]):
     perm = sorted(range(p), key=lambda i: sizes[i])
     b = [[matrix[perm[i]][perm[j]] for j in range(p)] for i in range(p)]
     for i in range(p):
-        assert b[i][i] > 0
-        for j in range(i + 1, p):
-            assert b[i][j] == 0, "class matrix not triangular in size order"
+        if b[i][i] <= 0:
+            raise InvariantError(f"class matrix has diagonal entry {b[i][i]}")
+        if any(b[i][i + 1:]):
+            raise InvariantError("class matrix not triangular in size order")
     z = solve_lower_triangular(b, g.order)
     out = [Fraction(0)] * p
     for i in range(p):

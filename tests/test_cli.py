@@ -166,6 +166,18 @@ def test_spectrum_bad_weight_file(tmp_path, capsys):
     assert code == 2 and "s1" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_weights_and_preset_refused_together(tmp_path, capsys, command):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": "x", "weights": {"": "1"}}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "A2", "--weights", str(path), "--preset", "uniform",
+                  "--no-cache"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--preset: not allowed with argument --weights" in out.err
+
+
 @pytest.mark.parametrize("command,preset", [
     ("verify", "qmaj:1/0"), ("spectrum", "desx:1/0,1,1"),
 ])

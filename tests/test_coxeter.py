@@ -472,6 +472,14 @@ def test_conjugator_properties(group_factory, atlas_factory):
         atlas.conjugator(0b0001, 0b1000)  # {s1} and {s4} are not conjugate in F4
 
 
+def test_conjugator_checks_the_root_test_in_the_group(group_factory):
+    # a corrupted images() entry is caught by conjugating W_K' in the group
+    atlas = ParabolicAtlas(group_factory("A2"))
+    atlas.images(0b01)[0b10] = [0]  # the identity does not send s1 to s2
+    with pytest.raises(InvariantError, match="does not conjugate"):
+        atlas.conjugator(0b10, 0b01)
+
+
 def _conjugate_pairs(atlas):
     for _, members in atlas.classes:
         for kp in members:
@@ -579,6 +587,35 @@ def test_minimal_conjugator_is_unique(group_factory, name):
         least = min(g.length[w] for w in hits)
         shortest = [w for w in hits if g.length[w] == least]
         assert shortest == [atlas.conjugator(kp, k)], (kp, k)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "A3", "B3", "H3", "D4", "I2(5)"])
+def test_atlas_matches_the_literal_definition(group_factory, name):
+    # classes, N_K and conjugators straight from the definitions: each W_K'
+    # conjugated element by element in the group, with no root images
+    g = group_factory(name)
+    atlas = ParabolicAtlas(g)
+    masks = list(iter_subsets(g.rank))
+    mask_of = {g.subgroup(k): k for k in masks}
+    first = {}  # (K', K) -> the first w with w^-1 W_K' w = W_K
+    normalizers = {k: set() for k in masks}
+    for kp in masks:
+        for w in range(g.order):
+            k = mask_of.get(frozenset(g.conj(t, w) for t in g.subgroup(kp)))
+            if k is not None:
+                first.setdefault((kp, k), w)
+                if k == kp and not g.des_r[w] & k:
+                    normalizers[k].add(w)
+    assert sorted(tuple(members) for _, members in atlas.classes) == sorted(
+        {tuple(kp for kp in masks if (kp, k) in first) for k in masks})
+    for k in masks:
+        assert atlas.normalizer_complement(k) == normalizers[k]
+        for kp in masks:
+            if (kp, k) in first:
+                assert atlas.conjugator(kp, k) == first[kp, k]
+            else:
+                with pytest.raises(ValueError, match="not conjugate"):
+                    atlas.conjugator(kp, k)
 
 
 def test_conjugator_set_equalities_f4_sampled(group_factory, atlas_factory):

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import coxdesc
 from coxdesc.descent import (
     DescentElement,
     StructureConstants,
@@ -16,6 +20,7 @@ from coxdesc.descent import (
     x_to_y,
     y_to_x,
 )
+from coxdesc.errors import InvariantError
 from coxdesc.oracle import convolve, expand
 from coxdesc.subsets import (
     bergeron_compare,
@@ -473,3 +478,32 @@ def test_solve_uses_triangular_structure(atlas_factory):
     # direct residual check
     for i in range(atlas.p):
         assert sum(mat[i][j] * vec[j] for j in range(atlas.p)) == atlas.group.order
+
+
+@pytest.mark.parametrize("cell,value,message", [
+    ((0, 1), 1, "not triangular in size order"),
+    ((1, 1), 0, "diagonal entry 0"),
+], ids=["not-triangular", "zero-diagonal"])
+def test_solve_refuses_a_bad_class_matrix(atlas_factory, cell, value, message):
+    # class 0 is the empty set, the smallest W_K: its row is 0 off the diagonal
+    atlas = atlas_factory("B3")
+    mat = ajkk_matrix(atlas, "corrected")
+    mat[cell[0]][cell[1]] = value
+    with pytest.raises(InvariantError, match=message):
+        solve_class_vector(atlas, mat)
+
+
+def test_invariant_checks_survive_python_O():
+    code = ("from coxdesc.coxeter import CoxeterSpec, ParabolicAtlas, build_group\n"
+            "from coxdesc.descent import solve_class_vector\n"
+            "from coxdesc.errors import InvariantError\n"
+            "atlas = ParabolicAtlas(build_group(CoxeterSpec.from_name('A2')))\n"
+            "try:\n"
+            "    solve_class_vector(atlas, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxdesc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
