@@ -175,12 +175,12 @@ def cmd_table(args) -> int:
         return EXIT_OK
     # full structure-constant table
     sc = StructureConstants(group)
+    names = [subset_name(m) for m in iter_subsets(group.rank)]
     triples = []
-    for j in iter_subsets(group.rank):
-        for k in iter_subsets(group.rank):
+    for j, jn in enumerate(names):
+        for k, kn in enumerate(names):
             for l_mask, val in sorted(sc.table(j, k).items()):
-                triples.append((subset_name(j), subset_name(k),
-                                subset_name(l_mask), val))
+                triples.append((jn, kn, names[l_mask], val))
     if args.format == "json":
         nested: dict = {}
         for jn, kn, ln, val in triples:

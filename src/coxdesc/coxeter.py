@@ -12,8 +12,9 @@ fixed by its images of the simple roots, root indices 0..rank-1, and those
 rank images are all that is stored of it.  Everything after the build is
 integer table work.
 
-CoxeterSystem and ParabolicAtlas are immutable once built (the lazy caches
-are guarded), so instances can be shared freely across threads; the build
+CoxeterSystem and ParabolicAtlas are immutable once built; the two memos
+they keep (parabolic subgroups and per-subset root-image tables) are filled
+under a lock, so instances can be shared freely across threads.  The build
 itself is single-threaded.
 """
 
@@ -302,7 +303,6 @@ class CoxeterSystem:
                                 for r in range(self.num_roots))
         self._enumerate(group_sizes(spec)[0])
         self._lock = threading.Lock()
-        self._mult_rows: dict[int, list[int]] = {}
         self._conj_gen = None
         self._subgroups: dict[int, frozenset] = {}
 
@@ -334,12 +334,17 @@ class CoxeterSystem:
         rt = [[0] * rank]
         length = [0]
         parent = [(-1, -1)]
+        des_r = []  # filled in index order: each level is a run of indices
         frontier = [0]
         while frontier:
+            # w s_i is one length off w, so i is a right descent iff w s_i
+            # was numbered before this level added any element
+            end = len(keys)
             nxt = []
             for w in frontier:
                 kw = keys[w]
                 row = rt[w]
+                mr = 0
                 for i, g in enumerate(gens):
                     key = tuple([g[x] for x in kw])
                     idx = index.get(key)
@@ -354,7 +359,10 @@ class CoxeterSystem:
                         length.append(length[w] + 1)
                         parent.append((w, i))
                         nxt.append(idx)
+                    elif idx < end:
+                        mr |= 1 << i
                     row[i] = idx
+                des_r.append(mr)
             frontier = nxt
         if len(keys) != predicted:
             raise InvariantError(
@@ -374,22 +382,10 @@ class CoxeterSystem:
         self.left_table = lt
         self.inverse = inv
         self.elements = [keys[v] for v in inv]
-        full = (1 << rank) - 1
-        des_r = []
-        des_l = []
-        for w in range(self.order):
-            lw = length[w]
-            mr = 0
-            ml = 0
-            for i in range(rank):
-                if length[rt[w][i]] < lw:
-                    mr |= 1 << i
-                if length[lt[w][i]] < lw:
-                    ml |= 1 << i
-            des_r.append(mr)
-            des_l.append(ml)
+        # Des_L(w) = Des_R(w^-1)
         self.des_r = des_r
-        self.des_l = des_l
+        self.des_l = des_l = [des_r[v] for v in inv]
+        full = (1 << rank) - 1
         self.longest = max(range(self.order), key=lambda w: length[w])
         if des_r[self.longest] != full or des_l[self.longest] != full:
             raise InvariantError("the longest element lacks a descent")
@@ -423,17 +419,8 @@ class CoxeterSystem:
         return tuple(reversed(out))
 
     def mult_row(self, u: int) -> list[int]:
-        """Row of the multiplication table: index of u*v for every v."""
-        row = self._mult_rows.get(u)
-        if row is not None:
-            return row
-        row = self.product_row(u)
-        with self._lock:
-            self._mult_rows[u] = row
-        return row
-
-    def product_row(self, u: int) -> list[int]:
-        """The same row as `mult_row`, built afresh and not memoized."""
+        """Row of the multiplication table, index of u*v for every v, built
+        afresh along the stored words: if v = v' s_i, uv = (uv') s_i."""
         rt = self.right_table
         parent = self.parent
         row = [0] * self.order
@@ -561,7 +548,6 @@ class ParabolicAtlas:
         self.all_masks = list(iter_subsets(rank))
         self._lock = threading.Lock()
         self._images: dict[int, dict[int, list[int]]] = {}
-        self._closure_counts = None
         keyf = cmp_to_key(lambda a, b: bergeron_compare(a, b, rank))
         classes, placed = [], set()
         for mask in self.all_masks:
@@ -626,8 +612,6 @@ class ParabolicAtlas:
         w lies in a conjugate of W_J iff its conjugacy class meets W_J, so
         each conjugacy class gets the class of the smallest W_J it meets.
         """
-        if self._closure_counts is not None:
-            return list(self._closure_counts)
         g = self.group
         label = [None] * g.order
         sizes = []
@@ -648,9 +632,7 @@ class ParabolicAtlas:
         counts = [0] * self.p
         for cls, size in zip(best, sizes):
             counts[cls] += size
-        with self._lock:
-            self._closure_counts = counts
-        return list(counts)
+        return counts
 
     # -- conjugators ------------------------------------------------------------
 

@@ -9,8 +9,9 @@ the closed normalizer formula for the diagonal values a_JKK, in corrected
 and in the published naive variant; it builds action matrices and the
 eigenvalue/multiplicity report for the regular representation of any element.
 
-StructureConstants memoizes rows and tables under a lock, so a shared
-instance is safe for concurrent readers; everything else is immutable.
+StructureConstants keeps the per-J bucket rows, stored under a lock when
+built, so a shared instance is safe for concurrent readers; everything else
+is immutable.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def x_to_y(d: DescentElement, rank: int) -> DescentElement:
 
 
 class StructureConstants:
-    """Lazy, memoized structure constants a_JKL of one group.
+    """Lazy structure constants a_JKL of one group, from memoized J rows.
 
     table(J, K) counts, for each distinguished representative x in ^J W^K,
     the subset L = {s in K : x s x^-1 in W_J}, which generates x^-1 W_J x
@@ -103,13 +104,10 @@ class StructureConstants:
     def __init__(self, group: CoxeterSystem):
         self.group = group
         self._rows: dict[int, dict[tuple[int, int], int]] = {}
-        self._memo: dict[tuple[int, int], dict[int, int]] = {}
         self._lock = threading.Lock()
 
     def table(self, j_mask: int, k_mask: int) -> dict[int, int]:
         """Sparse map L -> a_JKL (only L subset of K appear)."""
-        if (got := self._memo.get((j_mask, k_mask))) is not None:
-            return got
         if (row := self._rows.get(j_mask)) is None:
             g, row = self.group, {}
             for px, dl, dr in zip(g.elements, g.des_l, g.des_r):
@@ -119,13 +117,12 @@ class StructureConstants:
                         if j_mask >> px[k] & 1:  # a mask has no bit >= rank
                             p |= 1 << k
                     row[dr, p] = row.get((dr, p), 0) + 1
+            with self._lock:
+                self._rows[j_mask] = row
         out: dict[int, int] = {}
         for (dr, p), n in row.items():
             if not dr & k_mask:
                 out[p & k_mask] = out.get(p & k_mask, 0) + n
-        with self._lock:
-            self._rows[j_mask] = row
-            self._memo[j_mask, k_mask] = out
         return out
 
     def value(self, j_mask: int, k_mask: int, l_mask: int) -> int:
@@ -143,12 +140,13 @@ def ajkk_formula(atlas: ParabolicAtlas, j_mask: int, k_mask: int,
     Sums |N_K| / |W_J intersect N_K'| over the K' in the class of K that lie
     inside J; in corrected mode only K' whose fixed conjugator c_{K'K} has no
     left descent inside J contribute.  Naive mode drops that filter, which
-    reproduces the older published formula (wrong in general).
+    reproduces the older published formula (wrong in general).  N_K is the
+    entry of `atlas.images(K)` at K itself.
     """
     if mode not in ("corrected", "bbht_naive"):
         raise ValueError("mode must be 'corrected' or 'bbht_naive'")
     g = atlas.group
-    n_k = len(atlas.normalizer_complement(k_mask))
+    n_k = len(atlas.images(k_mask)[k_mask])
     w_j = g.subgroup(j_mask)
     total = 0
     for kp in atlas.classes[atlas.class_of[k_mask]][1]:
@@ -158,7 +156,7 @@ def ajkk_formula(atlas: ParabolicAtlas, j_mask: int, k_mask: int,
             c = atlas.conjugator(kp, k_mask)
             if g.des_l[c] & j_mask:
                 continue  # c_{K'K} != ^J c_{K'K}
-        inter = len(w_j & atlas.normalizer_complement(kp))
+        inter = sum(x in w_j for x in atlas.images(kp)[kp])
         if n_k % inter:
             raise InvariantError(f"|W_J & N_K'| = {inter} does not divide "
                                  f"|N_K| = {n_k}")
@@ -231,20 +229,17 @@ def action_matrix(d: DescentElement, constants: StructureConstants,
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues (per parabolic class) with multiplicities, plus the data
-    that produced them: the class-rep matrix A, the class sums, and both
-    sides of the multiplicity system A m = u."""
+    """Eigenvalues (per parabolic class) with multiplicities, plus the
+    class-rep matrix A that produced them: Delta_j is column j of A applied
+    to the class sums of the weights, and the multiplicities solve A m = u."""
 
     group_label: str
     order: int
     class_reps: list[int]
     class_members: list[list[int]]
     matrix: list[list[int]]          # A[i][j] = a_{K_i K_j K_j}
-    class_sums: list[Fraction]       # Lambda_i = sum of lambda over class i
-    delta_forms: list[list[int]]     # column j of A: Delta_j over class sums
     delta_values: list[Fraction]
     multiplicities: list[int]
-    closure_counts: list[int]
 
     @property
     def p(self) -> int:
@@ -346,10 +341,11 @@ def spectrum(d: DescentElement, atlas: ParabolicAtlas,
     dx = y_to_x(d, rank)
     constants = constants or StructureConstants(g)
     mat = ajkk_matrix_bruteforce(atlas, constants)
-    class_sums = [sum((dx.coeff(m) for m in members), Fraction(0))
-                  for _, members in atlas.classes]
+    # Lambda_i: the x-coefficients summed over class i
+    lam = [sum((dx.coeff(m) for m in members), Fraction(0))
+           for _, members in atlas.classes]
     p = atlas.p
-    delta_values = [sum((mat[i][j] * class_sums[i] for i in range(p)), Fraction(0))
+    delta_values = [sum((mat[i][j] * lam[i] for i in range(p)), Fraction(0))
                     for j in range(p)]
     m_solved = solve_class_vector(atlas, mat)
     if any(v.denominator != 1 or v <= 0 for v in m_solved):
@@ -367,9 +363,6 @@ def spectrum(d: DescentElement, atlas: ParabolicAtlas,
         class_reps=list(atlas.class_reps),
         class_members=[members for _, members in atlas.classes],
         matrix=mat,
-        class_sums=class_sums,
-        delta_forms=[[mat[i][j] for i in range(p)] for j in range(p)],
         delta_values=delta_values,
         multiplicities=mult,
-        closure_counts=closure,
     )

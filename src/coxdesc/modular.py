@@ -14,6 +14,8 @@ Nothing here mutates shared state.
 
 from __future__ import annotations
 
+from .errors import InvariantError
+
 #: Default verification primes: the three largest 62-bit primes.
 DEFAULT_PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
 
@@ -190,7 +192,8 @@ def poly_squarefree_part_mod(a, p):
     """a / gcd(a, a') mod p; valid while all root multiplicities are < p."""
     g = poly_gcd_mod(a, poly_deriv_mod(a, p), p)
     q, r = poly_divmod_mod(a, g, p)
-    assert r == [0]
+    if r != [0]:
+        raise InvariantError(f"gcd(a, a') mod {p} does not divide a")
     inv = pow(q[-1], -1, p)
     return [x * inv % p for x in q]
 

@@ -18,7 +18,8 @@ are read from the counts N[K][K1][K2] = #{u : Des_R(u) = K1, Des_R(u^-1 w_K)
 p > |W| Newton's identities make two monic degree-|W| polynomials agree mod
 p exactly when their first |W| power sums do, so the power sums are compared
 with sum_j m_j (D Delta_j)^k.  The counts use only `mult_row`, `inverse` and
-`des_r`, never the structure constants or the parabolic atlas under test.
+`des_r`, never the structure constants or the parabolic atlas under test;
+each multiplication row is built for one class member and dropped.
 
 The reduction is checked, never assumed: the scaled coefficients must be
 equal on every C_K, and N[K] must be equal at other members of C_K: at every
@@ -176,8 +177,8 @@ def _class_counts(group: CoxeterSystem, full: bool) -> list[Counter]:
 
     The class basis is sound only if N[K] is the same at every member of
     C_K.  That is checked at every member when `full`, and otherwise at the
-    middle and the last member of each class in index order; rows for the
-    check are built without memoizing them.  InvariantError on a difference.
+    middle and the last member of each class in index order.  Each row is
+    built afresh and dropped after counting.  InvariantError on a difference.
     """
     members = [[] for _ in range(1 << group.rank)]
     for w, k in enumerate(group.des_r):
@@ -186,7 +187,7 @@ def _class_counts(group: CoxeterSystem, full: bool) -> list[Counter]:
     for k, ws in enumerate(members):
         others = ws[1:] if full else sorted({ws[len(ws) // 2], ws[-1]} - {ws[0]})
         for w in others:
-            if _descent_pairs(group, group.product_row(w)) != counts[k]:
+            if _descent_pairs(group, group.mult_row(w)) != counts[k]:
                 raise InvariantError(
                     f"descent-pair counts differ within right-descent class {k}")
     return counts
@@ -308,7 +309,8 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
     factors = []
     for dv, m in zip(rep.delta_values, rep.multiplicities):
         scaled = dv * den
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise InvariantError(f"eigenvalue {dv} times {den} is not an integer")
         factors.append((int(scaled), m))
     if certify:
         bound = 2 * _hadamard_coeff_bound(int_coeffs, n)
@@ -370,7 +372,8 @@ def verify_lemma_same_spectrum(group: CoxeterSystem, d: DescentElement,
     den, int_coeffs = _scaled_integer_coeffs(group, d)
     act, _, _ = action_matrix(d, constants)
     act_int = [[v * den for v in row] for row in act]
-    assert all(v.denominator == 1 for row in act_int for v in row)
+    if any(v.denominator != 1 for row in act_int for v in row):
+        raise InvariantError(f"action matrix times {den} is not integral")
     coeffs = _class_coeffs(group, int_coeffs)
     counts = _class_counts(group, full=False)
     used = 0

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -438,7 +439,7 @@ def test_spectrum_h3_multiplicities(atlas_factory):
                 zip(rep.class_reps, rep.multiplicities)}
     assert by_label == {"": 1, "s1": 15, "s1,s2": 24, "s2,s3": 20,
                         "s1,s3": 15, "s1,s2,s3": 45}
-    assert rep.multiplicities == rep.closure_counts
+    assert rep.multiplicities == atlas.closure_class_counts()
 
 
 def test_trace_identity(atlas_factory):
@@ -507,3 +508,17 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements; every check in the package raises
+    pkg = os.path.dirname(os.path.abspath(coxdesc.__file__))
+    modules = sorted(f for f in os.listdir(pkg) if f.endswith(".py"))
+    assert "oracle.py" in modules and "modular.py" in modules
+    found = []
+    for name in modules:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
