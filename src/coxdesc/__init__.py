@@ -14,7 +14,6 @@ from .descent import (
     ajkk_matrix,
     ajkk_matrix_bruteforce,
     action_matrix,
-    class_sizes_from_A,
     multiply,
     spectrum,
     x_to_y,
@@ -26,13 +25,11 @@ from .modular import DEFAULT_PRIMES, charpoly_mod
 from .oracle import (
     GroupAlgebraElement,
     VerificationVerdict,
-    convolve,
     expand,
-    regular_rep,
     verify_lemma_same_spectrum,
     verify_spectrum,
 )
-from .subsets import bergeron_compare, bergeron_sorted, subset_from_name, subset_name
+from .subsets import bergeron_compare, subset_from_name, subset_name
 
 __version__ = "0.1.0"
 
@@ -40,12 +37,12 @@ __all__ = [
     "CoxeterSpec", "CoxeterSystem", "ParabolicAtlas", "build_group",
     "DescentElement", "SpectrumReport", "StructureConstants",
     "ajkk_formula", "ajkk_matrix", "ajkk_matrix_bruteforce", "action_matrix",
-    "class_sizes_from_A", "multiply", "spectrum", "x_to_y", "y_to_x",
+    "multiply", "spectrum", "x_to_y", "y_to_x",
     "GroupTooLargeError", "InvariantError",
     "Rational", "rational_from_string", "rational_to_string",
     "DEFAULT_PRIMES", "charpoly_mod",
-    "GroupAlgebraElement", "VerificationVerdict", "convolve", "expand",
-    "regular_rep", "verify_lemma_same_spectrum", "verify_spectrum",
-    "bergeron_compare", "bergeron_sorted", "subset_from_name", "subset_name",
+    "GroupAlgebraElement", "VerificationVerdict", "expand",
+    "verify_lemma_same_spectrum", "verify_spectrum",
+    "bergeron_compare", "subset_from_name", "subset_name",
     "__version__",
 ]

@@ -23,8 +23,9 @@ import json
 import os
 import sys
 import time
+from math import prod
 
-from .coxeter import CoxeterSpec, ParabolicAtlas, build_group
+from .coxeter import CoxeterSpec, ParabolicAtlas, build_group, parabolic_degrees
 from .descent import (
     DescentElement,
     StructureConstants,
@@ -120,7 +121,7 @@ def cmd_group(args) -> int:
         classes.append({
             "rep": subset_name(rep),
             "members": [subset_name(m) for m in members],
-            "parabolic_order": len(group.subgroup(rep)),
+            "parabolic_order": prod(parabolic_degrees(group.spec, rep)),
             "normalizer_complement": len(atlas.normalizer_complement(rep)),
             "elements": counts[idx],
         })

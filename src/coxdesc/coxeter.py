@@ -2,8 +2,12 @@
 
 A group is built from its Coxeter matrix.  The classification of the
 Coxeter graph (Humphreys, Reflection Groups and Coxeter Groups, ch. 2)
-decides up front whether W is finite and gives |W| and |Phi|; an infinite or
-oversized group is refused before any other work.  The root system of the
+decides up front whether W is finite and gives the degrees of W and of
+every standard parabolic W_K (ibid., 3.7).  Every order question is read
+from them: |W| = prod d_i, |Phi| = 2 sum (d_i - 1), and the parabolic
+closure counts (ParabolicAtlas.closure_class_counts).  An infinite group is
+refused by the classification, and one above DEFAULT_ELEMENT_CAP by
+build_group, before any other work.  The root system of the
 geometric realization is closed under the simple reflections over a prime
 field (exact, since the closure must reach exactly |Phi| roots).  The
 geometric representation is faithful and the simple roots are a basis
@@ -24,7 +28,7 @@ import json
 import threading
 from dataclasses import dataclass
 from functools import cmp_to_key
-from math import factorial, lcm
+from math import lcm, prod
 from operator import mul
 
 from .errors import GroupTooLargeError, InvariantError
@@ -158,13 +162,13 @@ class CoxeterSpec:
 # ---------------------------------------------------------------------------
 # Classification (Humphreys, Reflection Groups and Coxeter Groups, ch. 2)
 
-def _component_sizes(m, comp):
-    """(|W|, |Phi|) of the irreducible group on the connected vertex list
-    `comp` of the Coxeter graph, or None when that group is infinite."""
+def _component_degrees(m, comp):
+    """Degrees d_1..d_n of the irreducible group on the connected vertex list
+    `comp` of the Coxeter graph (Humphreys, Reflection Groups and Coxeter
+    Groups, 3.7), or None when that group is infinite."""
     n = len(comp)
     if n <= 2:
-        k = m[comp[0]][comp[-1]] if n == 2 else 1
-        return 2 * k, 2 * k  # A1, I2(k)
+        return [2, m[comp[0]][comp[1]]] if n == 2 else [2]  # I2(k), A1
     adj = {v: [u for u in comp if u != v and m[v][u] >= 3] for v in comp}
     if sum(map(len, adj.values())) != 2 * (n - 1):
         return None  # the graph has a cycle
@@ -172,17 +176,17 @@ def _component_sizes(m, comp):
     branch = [v for v in comp if len(adj[v]) > 2]
     if not branch:  # a path
         if not heavy:
-            return factorial(n + 1), n * (n + 1)  # A_n
+            return list(range(2, n + 2))  # A_n
         if len(heavy) > 1:
             return None
         v, u = heavy[0]
         k, at_end = m[v][u], min(len(adj[v]), len(adj[u])) == 1
         if k == 4 and at_end:
-            return 2 ** n * factorial(n), 2 * n * n  # B_n
+            return list(range(2, 2 * n + 1, 2))  # B_n
         if k == 4 and n == 4:
-            return 1152, 48  # F4
+            return [2, 6, 8, 12]  # F4
         if k == 5 and at_end and n <= 4:
-            return (120, 30) if n == 3 else (14400, 120)  # H3, H4
+            return [2, 6, 10] if n == 3 else [2, 12, 20, 30]  # H3, H4
         return None
     if heavy or len(branch) > 1 or len(adj[branch[0]]) > 3:
         return None
@@ -195,37 +199,41 @@ def _component_sizes(m, comp):
         arms.append(size)
     arms.sort()
     if arms[:2] == [1, 1]:
-        return 2 ** (n - 1) * factorial(n), 2 * n * (n - 1)  # D_n
-    return {(1, 2, 2): (51840, 72), (1, 2, 3): (2903040, 126),
-            (1, 2, 4): (696729600, 240)}.get(tuple(arms))  # E6, E7, E8
+        return list(range(2, 2 * n - 1, 2)) + [n]  # D_n
+    return {(1, 2, 2): [2, 5, 6, 8, 9, 12],  # E6
+            (1, 2, 3): [2, 6, 8, 10, 12, 14, 18],  # E7
+            (1, 2, 4): [2, 8, 12, 14, 18, 20, 24, 30]}.get(tuple(arms))  # E8
 
 
-def group_sizes(spec: CoxeterSpec) -> tuple[int, int]:
-    """(|W|, |Phi|), read from the types of the components of the Coxeter
-    graph (an edge wherever m_ij >= 3): |W| is the product of the component
-    orders and |Phi| the sum of rank times Coxeter number.
+def parabolic_degrees(spec: CoxeterSpec, mask: int) -> list[int]:
+    """Degrees of W_K for the subset mask K, from the types of the components
+    of K's Coxeter graph (an edge wherever m_ij >= 3); [] for K empty.
 
-    GroupTooLargeError when W is infinite or |W| > DEFAULT_ELEMENT_CAP.
+    GroupTooLargeError when W_K is infinite.
     """
-    m, rank = spec.matrix, spec.rank
-    order, roots, seen = 1, 0, set()
-    for start in range(rank):
+    m = spec.matrix
+    verts = subset_indices(mask)
+    degrees, seen = [], set()
+    for start in verts:
         if start in seen:
             continue
         comp = [start]
         for v in comp:  # the list grows: a BFS queue
-            comp += [u for u in range(rank) if m[v][u] >= 3 and u not in comp]
+            comp += [u for u in verts if m[v][u] >= 3 and u not in comp]
         seen.update(comp)
-        sizes = _component_sizes(m, sorted(comp))
-        if sizes is None:
+        got = _component_degrees(m, sorted(comp))
+        if got is None:
             raise GroupTooLargeError(
                 f"group too large or infinite: {spec.label()} is infinite")
-        order *= sizes[0]
-        roots += sizes[1]
-    if order > DEFAULT_ELEMENT_CAP:
-        raise GroupTooLargeError(
-            f"group too large or infinite: |W| = {order} > {DEFAULT_ELEMENT_CAP}")
-    return order, roots
+        degrees += got
+    return degrees
+
+
+def group_sizes(spec: CoxeterSpec) -> tuple[int, int]:
+    """(|W|, |Phi|) of any finite W: |W| = prod d_i and |Phi| = 2 sum (d_i - 1)
+    over the degrees of W.  GroupTooLargeError when W is infinite."""
+    degrees = parabolic_degrees(spec, (1 << spec.rank) - 1)
+    return prod(degrees), 2 * sum(d - 1 for d in degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +418,6 @@ class CoxeterSystem:
         wi = self.inverse[w]
         return self.mul(self.mul(wi, a), w)
 
-    def word(self, w: int) -> tuple:
-        """A stored reduced word for w (generator indices, left to right)."""
-        out = []
-        while w != 0:
-            w, i = self.parent[w]
-            out.append(i)
-        return tuple(reversed(out))
-
     def mult_row(self, u: int) -> list[int]:
         """Row of the multiplication table, index of u*v for every v, built
         afresh along the stored words: if v = v' s_i, uv = (uv') s_i."""
@@ -483,22 +483,6 @@ class CoxeterSystem:
             raise ValueError("side must be 'left' or 'right'")
         return [w for w in range(self.order) if not des[w] & mask]
 
-    def conjugacy_class(self, x: int) -> frozenset:
-        """Orbit of x under conjugation, by generator-conjugation BFS."""
-        lt, rt = self.left_table, self.right_table
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for i in range(self.rank):
-                    z = rt[lt[y][i]][i]  # s_i y s_i
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return frozenset(seen)
-
     def __repr__(self):
         return f"CoxeterSystem({self.spec.label()}, order={self.order})"
 
@@ -516,7 +500,10 @@ def build_group(spec: CoxeterSpec, use_cache: bool = False,
     """
     from . import cache as _cache
 
-    group_sizes(spec)
+    order, _ = group_sizes(spec)
+    if order > DEFAULT_ELEMENT_CAP:
+        raise GroupTooLargeError(
+            f"group too large or infinite: |W| = {order} > {DEFAULT_ELEMENT_CAP}")
     if use_cache:
         gen_perms = _cache.load(spec, cache_dir)
         if gen_perms is not None:
@@ -609,29 +596,25 @@ class ParabolicAtlas:
         order).  These counts are the eigenvalue multiplicities of the
         regular representation of a generic descent-algebra element.
 
-        w lies in a conjugate of W_J iff its conjugacy class meets W_J, so
-        each conjugacy class gets the class of the smallest W_J it meets.
+        The closure of w is the pointwise stabilizer of w's fixed space
+        (Steinberg, Trans. AMS 112, 1964), so w has closure P iff w fixes
+        no nonzero vector of P's span; W_K has prod (d_i - 1) such elements
+        over its degrees d_i (Shephard-Todd 1954, Solomon 1963).  W_K has
+        |W| / (|W_K| |N_K|) conjugates, so its class counts
+        |W| / (|W_K| |N_K|) * prod (d_i - 1) elements.  Conjugate subsets
+        share |W_K| and |N_K|; each is read at the class's first member,
+        whose table the constructor built.
         """
-        g = self.group
-        label = [None] * g.order
-        sizes = []
-        for w in range(g.order):
-            if label[w] is None:
-                members = g.conjugacy_class(w)
-                for x in members:
-                    label[x] = len(sizes)
-                sizes.append(len(members))
-        # stable sort: among equal orders the first mask in all_masks wins
-        best = [None] * len(sizes)
-        for mask in sorted(self.all_masks, key=lambda m: len(g.subgroup(m))):
-            for u in g.subgroup(mask):
-                if best[label[u]] is None:
-                    best[label[u]] = self.class_of[mask]
-        if None in best:
-            raise InvariantError("a conjugacy class meets no standard parabolic")
-        counts = [0] * self.p
-        for cls, size in zip(best, sizes):
-            counts[cls] += size
+        order = self.group.order
+        counts = []
+        for _, members in self.classes:
+            k = members[0]
+            degrees = parabolic_degrees(self.group.spec, k)
+            index = prod(degrees) * len(self.images(k)[k])
+            if order % index:
+                raise InvariantError(
+                    f"|W_K| |N_K| = {index} does not divide |W| = {order}")
+            counts.append(order // index * prod(d - 1 for d in degrees))
         return counts
 
     # -- conjugators ------------------------------------------------------------

@@ -19,8 +19,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .coxeter import CoxeterSystem, ParabolicAtlas
+from .coxeter import CoxeterSystem, ParabolicAtlas, parabolic_degrees
 from .errors import InvariantError
 from .subsets import iter_subsets, subset_name
 
@@ -28,7 +29,7 @@ __all__ = [
     "DescentElement", "StructureConstants", "SpectrumReport",
     "y_to_x", "x_to_y", "multiply", "ajkk_formula", "ajkk_matrix",
     "ajkk_matrix_bruteforce", "action_matrix", "spectrum",
-    "solve_class_vector", "solve_lower_triangular", "class_sizes_from_A",
+    "solve_class_vector", "solve_lower_triangular",
 ]
 
 
@@ -288,7 +289,7 @@ def solve_class_vector(atlas: ParabolicAtlas, matrix: list[list[int]]):
     """
     g = atlas.group
     p = atlas.p
-    sizes = [len(g.subgroup(rep)) for rep in atlas.class_reps]
+    sizes = [prod(parabolic_degrees(g.spec, rep)) for rep in atlas.class_reps]
     perm = sorted(range(p), key=lambda i: sizes[i])
     b = [[matrix[perm[i]][perm[j]] for j in range(p)] for i in range(p)]
     for i in range(p):
@@ -315,26 +316,14 @@ def solve_lower_triangular(rows, rhs) -> list[Fraction]:
     return z
 
 
-def class_sizes_from_A(atlas: ParabolicAtlas, mode: str = "corrected"):
-    """The vector A^-1 u with A from the chosen closed-formula mode.
-
-    With corrected constants this is the per-class element-count vector
-    wherever the formula matches the counting definition (every named group
-    except D4); with the naive constants it yields the absurd negative
-    values of the counterexample.  Spectra always use the definition, see
-    `spectrum`.
-    """
-    return solve_class_vector(atlas, ajkk_matrix(atlas, mode))
-
-
 def spectrum(d: DescentElement, atlas: ParabolicAtlas,
              constants: StructureConstants | None = None) -> SpectrumReport:
     """Eigenvalues of the regular representation of d, with multiplicities.
 
     Delta_j = sum over classes i of a_{K_i K_j K_j} * Lambda_i, with the
     a-values taken from the counting definition; the multiplicities solve
-    A m = u and are cross-checked against the independent parabolic-closure
-    counts (InvariantError on mismatch).
+    A m = u and must equal the parabolic-closure counts, which the atlas
+    derives from the degrees without A (InvariantError on mismatch).
     """
     g = atlas.group
     rank = g.rank

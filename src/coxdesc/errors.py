@@ -2,8 +2,9 @@
 
 
 class GroupTooLargeError(RuntimeError):
-    """A resource guard tripped: an infinite group or one above the element
-    cap (refused from the classification before any build), or the
+    """A resource guard tripped: an infinite group (refused by the
+    classification), a finite one above the element cap (refused by
+    build_group before any cache access, closure or enumeration), or the
     regular-representation size cap."""
 
 

@@ -88,18 +88,6 @@ def expand(group: CoxeterSystem, d: DescentElement) -> GroupAlgebraElement:
     return GroupAlgebraElement({w: c for w, c in enumerate(out) if c})
 
 
-def convolve(group: CoxeterSystem, a: GroupAlgebraElement,
-             b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """(a * b)(w) = sum over uv = w of a(u) b(v)."""
-    out: dict[int, Fraction] = {}
-    for u, cu in a.coeffs.items():
-        row = group.mult_row(u)
-        for v, cv in b.coeffs.items():
-            w = row[v]
-            out[w] = out.get(w, Fraction(0)) + cu * cv
-    return GroupAlgebraElement(out)
-
-
 def _require_rep_size(n: int):
     if n > REGULAR_REP_CAP:
         raise GroupTooLargeError(
@@ -118,20 +106,6 @@ def _require_primes(primes, n: int):
         if p in seen:
             raise ValueError(f"modulus {p} is repeated")
         seen.add(p)
-
-
-def regular_rep(group: CoxeterSystem, d: DescentElement):
-    """R_W(d) as Fraction rows: entry (w, w') = coefficient of w w'^-1.
-
-    Acting on coordinate vectors this is left multiplication by d.  This is
-    the plain reference builder; the oracle never forms the matrix.  Refused
-    for |W| > REGULAR_REP_CAP.
-    """
-    _require_rep_size(group.order)
-    coeffs = expand(group, d)
-    inverse = group.inverse
-    return [[coeffs.coeff(row[v]) for v in inverse]
-            for row in map(group.mult_row, range(group.order))]
 
 
 def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):

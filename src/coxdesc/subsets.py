@@ -7,8 +7,6 @@ generator names ("s1,s3"), with the empty string denoting the empty set.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 
 def iter_subsets(rank: int):
     """All 2^rank masks in ascending bitmask order."""
@@ -77,9 +75,3 @@ def bergeron_compare(j: int, k: int, rank: int) -> int:
             return -1
         j &= j - 1  # drop lowest set bit
         k &= k - 1
-
-
-def bergeron_sorted(masks, rank: int, descending: bool = True) -> list[int]:
-    """Masks sorted by the Bergeron order (largest first by default)."""
-    key = cmp_to_key(lambda a, b: bergeron_compare(a, b, rank))
-    return sorted(masks, key=key, reverse=descending)

@@ -29,7 +29,7 @@ from coxdesc.descent import (
     y_to_x,
 )
 from coxdesc.modular import DEFAULT_PRIMES
-from coxdesc.oracle import convolve, expand, verify_lemma_same_spectrum, verify_spectrum
+from coxdesc.oracle import expand, verify_lemma_same_spectrum, verify_spectrum
 from coxdesc.subsets import (
     bergeron_compare,
     iter_subsets,
@@ -38,7 +38,7 @@ from coxdesc.subsets import (
 )
 from coxdesc.weights import random_weights
 
-from conftest import double_coset_rep, double_coset_reps
+from conftest import convolve, double_coset_rep, double_coset_reps
 
 
 def _pass(n, msg):

@@ -12,6 +12,9 @@ from coxdesc import cache, cli
 from coxdesc.coxeter import CoxeterSpec, _chain, build_group
 from coxdesc.errors import GroupTooLargeError
 from coxdesc.modular import DEFAULT_PRIMES
+from coxdesc.subsets import subset_name
+
+from conftest import closure_counts_by_conjugacy, star_matrix
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +32,23 @@ def test_group_info_f4(capsys):
     assert by_rep[""]["elements"] == 1
     assert by_rep["s1"]["normalizer_complement"] == 48
     assert by_rep["s1,s2,s3,s4"]["elements"] == 385
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "F4"])
+def test_group_info_matches_the_group(capsys, atlas_factory, name):
+    # orders by the degrees, element counts by the closure formula: both
+    # against references that walk the group itself
+    atlas = atlas_factory(name)
+    g = atlas.group
+    code, out, _ = run_cli(capsys, "group", name, "--no-cache", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and (data["order"], data["roots"]) == (g.order, g.num_roots)
+    counts = closure_counts_by_conjugacy(atlas)
+    for cls, (rep, members) in zip(data["classes"], atlas.classes):
+        assert cls["rep"] == subset_name(rep)
+        assert cls["parabolic_order"] == len(g.subgroup(rep))
+        assert cls["normalizer_complement"] == len(atlas.normalizer_complement(rep))
+        assert cls["elements"] == counts[atlas.class_of[rep]]
 
 
 def test_group_info_h3(capsys):
@@ -332,31 +352,18 @@ def test_resource_guard_exit_code(capsys, monkeypatch):
     assert code == 3 and "too large" in err
 
 
-def _star(arms):
-    """Simply laced tree: a centre (vertex 0) with paths of the given lengths."""
-    n = 1 + sum(arms)
-    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    v = 1
-    for arm in arms:
-        prev = 0
-        for _ in range(arm):
-            m[prev][v] = m[v][prev] = 3
-            prev, v = v, v + 1
-    return m
-
-
 REFUSED_MATRICES = {
     "A2-affine": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
     "C2-affine": [[1, 4, 2], [4, 1, 4], [2, 4, 1]],
     "triangle-2-3-7": [[1, 2, 3], [2, 1, 7], [3, 7, 1]],
-    "E8-affine": _star([1, 2, 5]),
-    "E6-affine": _star([2, 2, 2]),
-    "D4-affine": _star([1, 1, 1, 1]),
+    "E8-affine": star_matrix([1, 2, 5]),
+    "E6-affine": star_matrix([2, 2, 2]),
+    "D4-affine": star_matrix([1, 1, 1, 1]),
     "F4-affine": _chain(5, [3, 4, 3, 3]),
     "path-3-5-3": _chain(4, [3, 5, 3]),
     "path-5-3-3-3": _chain(5, [5, 3, 3, 3]),
-    "E7": _star([1, 2, 3]),
-    "E8": _star([1, 2, 4]),
+    "E7": star_matrix([1, 2, 3]),
+    "E8": star_matrix([1, 2, 4]),
     "I2(10^9)": [[1, 10 ** 9], [10 ** 9, 1]],
 }
 

@@ -1,16 +1,19 @@
 import hashlib
 import json
 import random
+from math import factorial, prod
 
 import pytest
 
-from coxdesc import coxeter
+from coxdesc import cache, coxeter
 from coxdesc.coxeter import (
     CoxeterSpec,
     ParabolicAtlas,
     _build_root_permutations,
+    _chain,
     build_group,
     group_sizes,
+    parabolic_degrees,
 )
 from coxdesc.descent import StructureConstants, ajkk_matrix
 from coxdesc.errors import GroupTooLargeError, InvariantError
@@ -22,11 +25,14 @@ from coxdesc.subsets import (
 )
 
 from conftest import (
+    closure_counts_by_conjugacy,
     coxeter_class_size,
     double_coset_rep,
     double_coset_reps,
     length_by_roots,
     root_permutation,
+    star_matrix,
+    word,
 )
 
 KNOWN_ORDERS = {
@@ -239,6 +245,54 @@ def test_classification_predicts_order_and_roots(group_factory, name):
     assert group_sizes(g.spec) == (g.order, g.num_roots)
 
 
+# One matrix per irreducible type, with the textbook |W| and |Phi|; the
+# stars put the branch vertex at index 0, so those are not paths in index order.
+COMPONENT_SIZES = {
+    **{f"A{n}": (_chain(n, [3] * (n - 1)), factorial(n + 1), n * (n + 1))
+       for n in range(1, 9)},
+    **{f"B{n}": (_chain(n, [3] * (n - 2) + [4]), 2 ** n * factorial(n), 2 * n * n)
+       for n in range(2, 9)},
+    **{f"D{n}": (star_matrix([1, 1, n - 3]), 2 ** (n - 1) * factorial(n),
+                 2 * n * (n - 1)) for n in range(4, 9)},
+    "E6": (star_matrix([1, 2, 2]), 51840, 72),
+    "E7": (star_matrix([1, 2, 3]), 2903040, 126),
+    "E8": (star_matrix([1, 2, 4]), 696729600, 240),
+    "F4": (_chain(4, [3, 4, 3]), 1152, 48),
+    "H3": (_chain(3, [5, 3]), 120, 30),
+    "H4": (_chain(4, [5, 3, 3]), 14400, 120),
+    **{f"I2({m})": ([[1, m], [m, 1]], 2 * m, 2 * m) for m in (3, 4, 5, 7, 12, 1000)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_SIZES))
+def test_degrees_give_order_and_roots(name):
+    matrix, order, roots = COMPONENT_SIZES[name]
+    spec = CoxeterSpec.from_matrix(matrix)
+    degrees = parabolic_degrees(spec, (1 << spec.rank) - 1)
+    assert len(degrees) == spec.rank
+    assert prod(degrees) == order
+    assert 2 * sum(d - 1 for d in degrees) == roots
+    assert group_sizes(spec) == (order, roots)
+
+
+def test_group_sizes_classifies_e7_and_e8_without_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(cache, "load", refuse)
+    monkeypatch.setattr(coxeter, "_build_root_permutations", refuse)
+    monkeypatch.setattr(coxeter.CoxeterSystem, "__init__", refuse)
+    e7 = CoxeterSpec.from_matrix(star_matrix([1, 2, 3]))
+    e8 = CoxeterSpec.from_matrix(star_matrix([1, 2, 4]))
+    assert group_sizes(e7) == (2903040, 126)
+    assert group_sizes(e8) == (696729600, 240)
+    # the element cap is build_group's, checked before anything is built
+    with pytest.raises(GroupTooLargeError, match=r"\|W\| = 2903040 > 2000000"):
+        build_group(e7)
+    with pytest.raises(GroupTooLargeError, match=r"\|W\| = 696729600 > 2000000"):
+        build_group(e8, use_cache=True)
+
+
 def test_large_dihedral_group_builds():
     g = build_group(CoxeterSpec.from_matrix([[1, 1000], [1000, 1]]))
     assert (g.order, g.num_roots) == (2000, 2000)
@@ -259,6 +313,19 @@ def test_wrong_prediction_raises(monkeypatch, shift, message):
 
     monkeypatch.setattr(coxeter, "group_sizes", wrong)
     with pytest.raises(InvariantError, match=message):
+        build_group(CoxeterSpec.from_name("H3"))
+
+
+def test_wrong_degree_list_fails_the_size_checks(monkeypatch):
+    # control: H3 with degrees 2, 6, 12 predicts |Phi| = 34 and |W| = 144
+    real = coxeter._component_degrees
+
+    def wrong(m, comp):
+        got = real(m, comp)
+        return got[:-1] + [got[-1] + 2]
+
+    monkeypatch.setattr(coxeter, "_component_degrees", wrong)
+    with pytest.raises(InvariantError, match="has 30 roots, not .* 34"):
         build_group(CoxeterSpec.from_name("H3"))
 
 
@@ -683,14 +750,32 @@ def test_closure_counts_versus_orbit_in_type_a(atlas_factory):
     assert coxeter_class_size(h3.group, subset_from_name("s1,s2", 3)) == 12
 
 
+REDUCIBLE_MATRICES = {
+    "A1xA2": _block([[1]], _chain(2, [3])),
+    "A1^3": _block([[1]], [[1]], [[1]]),
+    "H3xA2": _block(_chain(3, [5, 3]), _chain(2, [3])),
+    "B3xI2(5)": _block(_chain(3, [3, 4]), [[1, 5], [5, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", SIGN_GROUPS + sorted(REDUCIBLE_MATRICES))
+def test_closure_counts_from_degrees_match_conjugacy_sweep(group_factory, name):
+    matrix = {**EXPLICIT_MATRICES, **REDUCIBLE_MATRICES}.get(name)
+    g = build_group(CoxeterSpec.from_matrix(matrix)) if matrix else group_factory(name)
+    atlas = ParabolicAtlas(g)
+    assert atlas.closure_class_counts() == closure_counts_by_conjugacy(atlas)
+    for mask in atlas.all_masks:
+        assert prod(parabolic_degrees(g.spec, mask)) == len(g.subgroup(mask))
+
+
 def test_word_is_reduced(group_factory):
     for name in ("B3", "H3"):
         g = group_factory(name)
         for w in range(g.order):
-            word = g.word(w)
-            assert len(word) == g.length[w]
+            reduced = word(g, w)
+            assert len(reduced) == g.length[w]
             x = 0
-            for i in word:
+            for i in reduced:
                 x = g.right_table[x][i]
             assert x == w
 
@@ -716,8 +801,6 @@ def test_cache_rejects_stale_version(tmp_path):
     data = json.loads(path.read_text())
     data["version"] = 999
     path.write_text(json.dumps(data))
-    from coxdesc import cache
-
     assert cache.load(spec, str(tmp_path)) is None
     # corrupt file is also ignored
     path.write_text("{not json")

@@ -4,17 +4,18 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 import coxdesc
+from coxdesc.coxeter import CoxeterSpec, ParabolicAtlas, build_group, parabolic_degrees
 from coxdesc.descent import (
     DescentElement,
     StructureConstants,
     action_matrix,
     ajkk_formula,
     ajkk_matrix,
-    class_sizes_from_A,
     multiply,
     solve_class_vector,
     spectrum,
@@ -22,17 +23,16 @@ from coxdesc.descent import (
     y_to_x,
 )
 from coxdesc.errors import InvariantError
-from coxdesc.oracle import convolve, expand
+from coxdesc.oracle import expand
 from coxdesc.subsets import (
     bergeron_compare,
-    bergeron_sorted,
     iter_subsets,
     subset_from_name,
     subset_indices,
     subset_name,
 )
 
-from conftest import double_coset_reps
+from conftest import bergeron_sorted, class_sizes_from_A, convolve, double_coset_reps
 
 
 def _random_element(rank, seed, basis="x"):
@@ -253,6 +253,52 @@ def test_spectrum_uses_definition_not_formula_on_d4(atlas_factory,
     assert rep.multiplicities == atlas.closure_class_counts()
     assert sum(rep.multiplicities) == 192
     assert rep.matrix == ajkk_matrix_bruteforce(atlas, sc)
+
+
+@pytest.mark.parametrize("name", ["H3", "F4", "A3", "I2(5)"])
+def test_spectrum_rejects_closure_counts_with_prod_d(atlas_factory, monkeypatch,
+                                                     name):
+    # control: prod d_i in place of prod (d_i - 1) in the closure formula
+    # must disagree with the solve of A m = u
+    def counts_with_prod_d(atlas):
+        order, out = atlas.group.order, []
+        for _, members in atlas.classes:
+            k = members[0]
+            degrees = parabolic_degrees(atlas.group.spec, k)
+            index = prod(degrees) * len(atlas.images(k)[k])
+            out.append(order // index * prod(degrees))
+        return out
+
+    atlas = atlas_factory(name)
+    monkeypatch.setattr(ParabolicAtlas, "closure_class_counts", counts_with_prod_d)
+    with pytest.raises(InvariantError, match="disagrees with closure counts"):
+        spectrum(_random_element(atlas.group.rank, 3), atlas)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["H3", "F4", "D4", "B4", "A5"])
+def test_spectrum_invariant_under_relabelling(atlas_factory, name, seed):
+    # generator i becomes generator pi[i], in the matrix and in the weights;
+    # the classification then meets graphs that are not paths in index order
+    atlas = atlas_factory(name)
+    rank, matrix = atlas.group.rank, atlas.group.spec.matrix
+    rng = random.Random(seed)
+    pi = list(range(rank))
+    while pi == sorted(pi):
+        rng.shuffle(pi)
+    moved = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(rank):
+            moved[pi[i]][pi[j]] = matrix[i][j]
+    d = _random_element(rank, seed)
+    d_moved = DescentElement("x", {sum(1 << pi[i] for i in subset_indices(k)): c
+                                   for k, c in d.coeffs.items()})
+    relabelled = ParabolicAtlas(build_group(CoxeterSpec.from_matrix(moved)))
+
+    def pairs(rep):
+        return sorted(zip(rep.delta_values, rep.multiplicities))
+
+    assert pairs(spectrum(d_moved, relabelled)) == pairs(spectrum(d, atlas))
 
 
 def test_conjugation_invariance(atlas_factory, constants_factory):

@@ -11,14 +11,14 @@ from coxdesc.modular import DEFAULT_PRIMES, charpoly_mod
 from coxdesc import oracle
 from coxdesc.oracle import (
     GroupAlgebraElement,
-    convolve,
     expand,
-    regular_rep,
     verify_lemma_same_spectrum,
     verify_spectrum,
 )
 from coxdesc.subsets import iter_subsets
 from tests.test_modular import faddeev_charpoly
+
+from conftest import convolve, regular_rep
 
 
 def _random_element(rank, seed):
