@@ -470,18 +470,12 @@ class CoxeterSystem:
             self._subgroups[mask] = out
         return out
 
-    def min_coset_reps(self, mask: int, side: str = "right") -> list[int]:
-        """W^J (side="right": l(ws) > l(w) for s in J) or ^JW (side="left").
+    def min_coset_reps(self, mask: int) -> list[int]:
+        """W^J: every w with l(ws) > l(w) for s in J.
 
         Sorted by element index, which is length-graded BFS order.
         """
-        if side == "right":
-            des = self.des_r
-        elif side == "left":
-            des = self.des_l
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        return [w for w in range(self.order) if not des[w] & mask]
+        return [w for w, k in enumerate(self.des_r) if not k & mask]
 
     def __repr__(self):
         return f"CoxeterSystem({self.spec.label()}, order={self.order})"

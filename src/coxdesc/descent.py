@@ -205,8 +205,9 @@ def action_matrix(d: DescentElement, constants: StructureConstants,
 
     Returns (M, v, order): column at K is the coefficient vector of d * x_K,
     so M[row L][col K] = sum over J of lambda_J a_JKL; v is the coefficient
-    vector of d itself.  With `order` the subsets sorted descending by the
-    Bergeron order, M is upper triangular.
+    vector of d itself.  M is upper triangular in the default ascending
+    mask order (a_JKL is nonzero only for L subset of K), and also with
+    `order` the subsets sorted descending by the Bergeron order.
     """
     g = constants.group
     rank = g.rank

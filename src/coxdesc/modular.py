@@ -3,18 +3,16 @@
 `prime_one_mod` and `root_of_unity` give the field the root closure runs in:
 a prime p = 1 (mod 2N) and an element of order exactly 2N in F_p.
 
-`charpoly_mod` is for small matrices (the descent-algebra action matrix has
-2^rank rows): a similarity reduction to upper Hessenberg form, then the
-leading-principal-minor recurrence, O(n^3) operations on Python ints.  The
-|W| x |W| regular representation never reaches it; the oracle checks that
-matrix through power sums in the group algebra instead.
+`charpoly_mod` is for small matrices: a similarity reduction to upper
+Hessenberg form, then the leading-principal-minor recurrence, O(n^3)
+operations on Python ints.  Nothing in the package calls it; it is kept as
+a public helper and as the kernel of perfbench's exact-charpoly reference
+check.  The oracle checks R_W(d) through power sums in the group algebra.
 
 Nothing here mutates shared state.
 """
 
 from __future__ import annotations
-
-from .errors import InvariantError
 
 #: Default verification primes: the three largest 62-bit primes.
 DEFAULT_PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
@@ -142,63 +140,3 @@ def charpoly_mod(matrix, p: int) -> list[int]:
                 cur[j] = (cur[j] - f * c) % p
         minors.append(cur)
     return minors[n]
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomial arithmetic mod p (ascending coefficient lists).
-
-def poly_trim_mod(c):
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_divmod_mod(a, b, p):
-    a = [x % p for x in a]
-    b = poly_trim_mod([x % p for x in b])
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        f = c * inv_lead % p
-        q[i - db] = f
-        for j, y in enumerate(b):
-            a[i - db + j] = (a[i - db + j] - f * y) % p
-    return poly_trim_mod(q), poly_trim_mod(a)
-
-
-def poly_gcd_mod(a, b, p):
-    a = poly_trim_mod([x % p for x in a])
-    b = poly_trim_mod([x % p for x in b])
-    while b != [0]:
-        _, r = poly_divmod_mod(a, b, p)
-        a, b = b, r
-    if a != [0]:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def poly_deriv_mod(a, p):
-    return poly_trim_mod([i * c % p for i, c in enumerate(a)][1:] or [0])
-
-
-def poly_squarefree_part_mod(a, p):
-    """a / gcd(a, a') mod p; valid while all root multiplicities are < p."""
-    g = poly_gcd_mod(a, poly_deriv_mod(a, p), p)
-    q, r = poly_divmod_mod(a, g, p)
-    if r != [0]:
-        raise InvariantError(f"gcd(a, a') mod {p} does not divide a")
-    inv = pow(q[-1], -1, p)
-    return [x * inv % p for x in q]
-
-
-def poly_divides_mod(a, b, p) -> bool:
-    """True iff a divides b mod p."""
-    _, r = poly_divmod_mod(b, a, p)
-    return r == [0]

@@ -202,13 +202,15 @@ def bergeron_sorted(masks, rank, descending=True):
     return sorted(masks, key=key, reverse=descending)
 
 
-def poly_mul_mod(a, b, p):
-    """Product of two ascending coefficient lists mod p, trailing zeros
-    trimmed."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def charpoly_from_power_sums(sums, p):
+    """det(tI - M) mod p, ascending, from s_k = tr M^k for k = 1..n.
+
+    Newton's identities: k c_(n-k) = -sum_(i=1..k) s_i c_(n-k+i), c_n = 1;
+    dividing by k needs p > n.
+    """
+    n = len(sums)
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = sum(s * c[n - k + i] for i, s in enumerate(sums[:k], 1))
+        c[n - k] = -acc * pow(k, -1, p) % p
+    return c

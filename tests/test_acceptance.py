@@ -317,7 +317,7 @@ def test_criterion_6a_product_vs_convolution(group_factory, constants_factory):
                 lhs = convolve(group, xj, xk)
                 rhs: dict[int, Fraction] = {}
                 for l_mask, c in constants.table(j, k).items():
-                    for w in group.min_coset_reps(l_mask, "right"):
+                    for w in group.min_coset_reps(l_mask):
                         rhs[w] = rhs.get(w, Fraction(0)) + c
                 assert lhs.coeffs == {w: c for w, c in rhs.items() if c}
     _pass("6a", f"Solomon product = group-algebra convolution on all (J,K) "
@@ -416,5 +416,6 @@ def test_criterion_7_same_spectrum_lemma(group_factory):
             d = random_weights(group.rank, seed)
             assert verify_lemma_same_spectrum(group, d), (name, seed)
     _pass(7, "regular representation and descent-algebra action matrix have "
-             "equal root sets (squarefree parts mutually divide mod each "
-             "prime) on A2, B2, A3")
+             "equal root sets (charpoly of R_W(d) matches the predicted "
+             "spectrum mod each prime; the triangular action matrix has "
+             "exactly those values on its diagonal) on A2, B2, A3")

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import random
 import subprocess
@@ -556,15 +557,60 @@ def test_invariant_checks_survive_python_O():
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
-def test_src_has_no_assert_statements():
-    # python -O strips assert statements; every check in the package raises
+def _src_trees():
+    """(module file name, parsed AST) for every module of the package."""
     pkg = os.path.dirname(os.path.abspath(coxdesc.__file__))
     modules = sorted(f for f in os.listdir(pkg) if f.endswith(".py"))
     assert "oracle.py" in modules and "modular.py" in modules
-    found = []
     for name in modules:
         with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+            yield name, ast.parse(fh.read(), filename=name)
+
+
+def _perfbench_hooks():
+    """HOOKS of perfbench/spans.py, loaded by path (it imports only coxdesc)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HOOKS
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements; every check in the package raises
+    found = [f"{name}:{node.lineno}" for name, tree in _src_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_perfbench_hooks_resolve():
+    # the tracer replaces owner.__dict__[attr]; a missing one is a KeyError
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in _perfbench_hooks()
+               if attr not in owner.__dict__]
+    assert missing == []
+
+
+def test_src_imports_are_used():
+    # a name counts as used if the module reads it, exports it in __all__,
+    # or perfbench hooks it there
+    hooked = {(owner.__name__, attr) for owner, attr, _ in _perfbench_hooks()}
+    unused = []
+    for name, tree in _src_trees():
+        module = "coxdesc" if name == "__init__.py" else f"coxdesc.{name[:-3]}"
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{name}:{line} {ident}" for ident, line in imported.items()
+                   if ident not in used and (module, ident) not in hooked]
+    assert unused == []

@@ -3,18 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxdesc.modular import (
-    DEFAULT_PRIMES,
-    charpoly_mod,
-    is_prime,
-    poly_divides_mod,
-    poly_divmod_mod,
-    poly_gcd_mod,
-    poly_squarefree_part_mod,
-    primes_below,
-)
-
-from conftest import poly_mul_mod
+from coxdesc.modular import DEFAULT_PRIMES, charpoly_mod, is_prime, primes_below
 
 
 def faddeev_charpoly(matrix):
@@ -108,23 +97,3 @@ def test_charpoly_rejects_bad_input():
     with pytest.raises(ValueError):
         charpoly_mod([[1]], 91)  # 91 = 7 * 13: pow(, -1) still works, caught by ctx
     assert charpoly_mod([], 101) == [1]
-
-
-def test_poly_helpers():
-    p = 10007
-    a = poly_mul_mod([1, 1], [p - 1, 1], p)          # (x+1)(x-1) = x^2 - 1
-    assert a == [p - 1, 0, 1]
-    q, r = poly_divmod_mod(a, [1, 1], p)
-    assert q == [p - 1, 1] and r == [0]
-    g = poly_gcd_mod(a, [1, 1], p)
-    assert g == [1, 1]
-    # squarefree part of (x-2)^3 (x-5) is (x-2)(x-5)
-    f = [1]
-    for root, mult in ((2, 3), (5, 1)):
-        for _ in range(mult):
-            f = poly_mul_mod(f, [p - root, 1], p)
-    sf = poly_squarefree_part_mod(f, p)
-    assert sf == poly_mul_mod([p - 2, 1], [p - 5, 1], p)
-    assert poly_divides_mod(sf, f, p)
-    assert not poly_divides_mod(f, sf, p)
-

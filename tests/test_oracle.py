@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from coxdesc.descent import DescentElement, multiply, spectrum
+from coxdesc.descent import (
+    DescentElement,
+    StructureConstants,
+    action_matrix,
+    multiply,
+    spectrum,
+)
 from coxdesc.errors import GroupTooLargeError, InvariantError
 from coxdesc.modular import DEFAULT_PRIMES, charpoly_mod
 from coxdesc import oracle
@@ -18,7 +24,7 @@ from coxdesc.oracle import (
 from coxdesc.subsets import iter_subsets
 from tests.test_modular import faddeev_charpoly
 
-from conftest import convolve, regular_rep
+from conftest import charpoly_from_power_sums, convolve, regular_rep
 
 
 def _random_element(rank, seed):
@@ -126,7 +132,7 @@ def test_power_sum_charpoly_matches_regular_rep(group_factory, name):
     sums = oracle._power_sums(oracle._class_counts(g, full=True),
                               oracle._class_coeffs(g, int_coeffs), g.order, p)
     mat = [[int(v * den) for v in row] for row in regular_rep(g, d)]
-    assert oracle._charpoly_from_power_sums(sums, p) == charpoly_mod(mat, p)
+    assert charpoly_from_power_sums(sums, p) == charpoly_mod(mat, p)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
@@ -279,7 +285,7 @@ def test_predicted_charpoly_degree(group_factory, atlas_factory):
     assert sum(rep.multiplicities) == g.order
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "A3"])
+@pytest.mark.parametrize("name", ["A2", "B2", "A3", "B3", "H3", "D4", "F4"])
 def test_lemma_same_spectrum(group_factory, name):
     g = group_factory(name)
     assert verify_lemma_same_spectrum(g, _random_element(g.rank, 9))
@@ -287,6 +293,59 @@ def test_lemma_same_spectrum(group_factory, name):
     with pytest.raises(ValueError, match=re.escape(f"|W| = {g.order} <")):
         verify_lemma_same_spectrum(g, DescentElement.unit(g.rank),
                                    primes=[DEFAULT_PRIMES[0], g.order - 1])
+
+
+@pytest.mark.parametrize("corrupt", [_shift_last_delta, _move_one_multiplicity])
+def test_lemma_rejects_a_wrong_spectrum(group_factory, monkeypatch, corrupt):
+    # a wrong multiplicity leaves the Delta_j, so the diagonal still matches
+    real = oracle.spectrum
+    monkeypatch.setattr(oracle, "spectrum",
+                        lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+    assert not verify_lemma_same_spectrum(group_factory("H3"), _random_element(3, 9))
+
+
+def test_lemma_rejects_a_wrong_action_diagonal(group_factory, monkeypatch):
+    # R_W(d) still matches the predicted spectrum; only the entry at K = {},
+    # alone in its class, moves off Delta_class({})
+    real = oracle.action_matrix
+
+    def shifted(*args, **kwargs):
+        act, vec, order = real(*args, **kwargs)
+        act[0][0] += 1
+        return act, vec, order
+
+    monkeypatch.setattr(oracle, "action_matrix", shifted)
+    g, d = group_factory("H3"), _random_element(3, 9)
+    assert verify_spectrum(g, d).all_matched
+    assert not verify_lemma_same_spectrum(g, d)
+
+
+def test_lemma_refuses_a_non_triangular_action_matrix(group_factory, monkeypatch):
+    # one extra entry at L = {s1} for K = {} (L > K as masks) lies below
+    # the diagonal; the diagonal entries a_JKK are unchanged
+    real = StructureConstants.table
+
+    def corrupted(self, j_mask, k_mask):
+        out = real(self, j_mask, k_mask)
+        return {**out, 0b001: 1} if k_mask == 0 else out
+
+    monkeypatch.setattr(StructureConstants, "table", corrupted)
+    with pytest.raises(InvariantError, match="not upper triangular"):
+        verify_lemma_same_spectrum(group_factory("B3"), DescentElement.unit(3))
+
+
+@pytest.mark.parametrize("name", ["D4", "F4"])
+def test_action_matrix_diagonal_is_the_spectrum(group_factory, atlas_factory,
+                                                constants_factory, name):
+    # the diagonal at K is sum_J lambda_J a_JKK = Delta_class(K)
+    g, sc = group_factory(name), constants_factory(name)
+    d = _random_element(g.rank, 9)
+    rep = spectrum(d, atlas_factory(name), sc)
+    act, _, order = action_matrix(d, sc)
+    assert order == list(range(1 << g.rank))
+    for delta, members in zip(rep.delta_values, rep.class_members):
+        for k in members:
+            assert act[k][k] == delta
 
 
 def test_repeated_prime_refused(group_factory):
