@@ -1,10 +1,9 @@
 """Group cache: skip the root-system closure on repeat builds.
 
 Version 2 stores only the generator permutations of the root set, keyed by a
-hash of the canonical spec matrix; root signs are derived from them on load,
-as on a fresh build.  Element enumeration from these permutations is
-deterministic, so a cache load reproduces the exact same element table and
-query results as a fresh build.
+hash of the canonical spec matrix.  Element enumeration from these
+permutations is deterministic, so a cache load reproduces the exact same
+element table and query results as a fresh build.
 
 Location: the directory named by the COXDESC_CACHE environment variable,
 default ".coxdesc-cache".  Files are versioned JSON; stale versions,

@@ -16,9 +16,9 @@ fixed by its images of the simple roots, root indices 0..rank-1, and those
 rank images are all that is stored of it.  Everything after the build is
 integer table work.
 
-CoxeterSystem and ParabolicAtlas are immutable once built; the two memos
-they keep (parabolic subgroups and per-subset root-image tables) are filled
-under a lock, so instances can be shared freely across threads.  The build
+CoxeterSystem and ParabolicAtlas are immutable once built; the lazy tables
+they keep (`conj_gen` and the per-subset root-image tables) are filled under
+a lock, so instances can be shared freely across threads.  The build
 itself is single-threaded.
 """
 
@@ -137,10 +137,13 @@ class CoxeterSpec:
         if "type" in data:
             if not isinstance(data["type"], str):
                 raise ValueError('spec "type" must be a string')
-            return CoxeterSpec.from_name(data["type"])
-        if "m" not in data:
+            if "m" in data:
+                raise ValueError('spec JSON takes "type" or "m", not both')
+            spec = CoxeterSpec.from_name(data["type"])
+        elif "m" in data:
+            spec = CoxeterSpec.from_matrix(data["m"])
+        else:
             raise ValueError('spec JSON needs "type" or "m"')
-        spec = CoxeterSpec.from_matrix(data["m"])
         if "rank" in data and data["rank"] != spec.rank:
             raise ValueError("rank does not match matrix size")
         return spec
@@ -249,8 +252,9 @@ def _build_root_permutations(spec: CoxeterSpec):
     closure mod p is the image of Phi.  It has exactly |Phi| points iff no
     two roots collide; then every equality test agrees with the exact one,
     and the breadth-first root numbering is the exact closure's.
-    InvariantError when the count differs from the classification.  Root
-    signs are not decided here (see CoxeterSystem._positive_roots).
+    InvariantError when the count differs from the classification.  Which
+    roots are positive is never needed: lengths and descents come from the
+    enumeration.
     """
     rank = spec.rank
     _, num_roots = group_sizes(spec)
@@ -298,7 +302,10 @@ class CoxeterSystem:
     (ascending generator index), so it is deterministic and length-graded.
     It must reach exactly the |W| of `group_sizes` (InvariantError).
     `elements[w]` holds w's images of the simple roots as root indices:
-    w alpha_i is root `elements[w][i]`.
+    w alpha_i is root `elements[w][i]`.  `support[w]` is the mask of the
+    generators in w's stored reduced word; every reduced word of w uses the
+    same ones (Humphreys, Reflection Groups and Coxeter Groups, ch. 5), so
+    w lies in W_J iff `support[w] & ~J` is 0.
     """
 
     def __init__(self, spec: CoxeterSpec, gen_perms):
@@ -306,31 +313,11 @@ class CoxeterSystem:
         self.rank = spec.rank
         self.gen_perms = [tuple(p) for p in gen_perms]
         self.num_roots = len(self.gen_perms[0])
-        positive = self._positive_roots()
-        self.root_signs = tuple(1 if r in positive else -1
-                                for r in range(self.num_roots))
         self._enumerate(group_sizes(spec)[0])
         self._lock = threading.Lock()
         self._conj_gen = None
-        self._subgroups: dict[int, frozenset] = {}
 
     # -- construction --------------------------------------------------------
-
-    def _positive_roots(self) -> set:
-        """Phi+ as root indices: the simple roots 0..rank-1 closed under s_j
-        applied to roots other than alpha_j (s_j permutes Phi+ minus alpha_j)."""
-        positive = set(range(self.rank))
-        frontier = list(positive)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for j, perm in enumerate(self.gen_perms):
-                    x = perm[r]
-                    if r != j and x not in positive:
-                        positive.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        return positive
 
     def _enumerate(self, predicted):
         # keyed by the simple-root images of w^-1: (w s_i)^-1 = s_i w^-1, so
@@ -342,6 +329,7 @@ class CoxeterSystem:
         rt = [[0] * rank]
         length = [0]
         parent = [(-1, -1)]
+        support = [0]
         des_r = []  # filled in index order: each level is a run of indices
         frontier = [0]
         while frontier:
@@ -366,6 +354,7 @@ class CoxeterSystem:
                         rt.append([0] * rank)
                         length.append(length[w] + 1)
                         parent.append((w, i))
+                        support.append(support[w] | 1 << i)
                         nxt.append(idx)
                     elif idx < end:
                         mr |= 1 << i
@@ -379,6 +368,7 @@ class CoxeterSystem:
         self.right_table = rt
         self.length = length
         self.parent = parent
+        self.support = support
         # for w = v s_i: s_j w = (s_j v) s_i and w^-1 = s_i v^-1, where v and
         # v^-1 are shorter than w, so they precede it in BFS order
         lt = [list(rt[0])]
@@ -445,30 +435,7 @@ class CoxeterSystem:
                                       for w, row in enumerate(self.right_table)]
         return self._conj_gen
 
-    # -- parabolic subgroups and cosets ---------------------------------------
-
-    def subgroup(self, mask: int) -> frozenset:
-        """Element-index set of the standard parabolic subgroup W_J."""
-        got = self._subgroups.get(mask)
-        if got is not None:
-            return got
-        gens = subset_indices(mask)
-        seen = {0}
-        frontier = [0]
-        rt = self.right_table
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in gens:
-                    v = rt[w][i]
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        out = frozenset(seen)
-        with self._lock:
-            self._subgroups[mask] = out
-        return out
+    # -- cosets ----------------------------------------------------------------
 
     def min_coset_reps(self, mask: int) -> list[int]:
         """W^J: every w with l(ws) > l(w) for s in J.
@@ -628,9 +595,8 @@ class ParabolicAtlas:
         c = hits[0]
         # checked by conjugating in the group, not by the root test
         g = self.group
-        sub_k = g.subgroup(k_mask)
-        if not all(g.conj(g.right_table[0][i], c) in sub_k
-                   for i in subset_indices(kp_mask)):
+        if any(g.support[g.conj(g.right_table[0][i], c)] & ~k_mask
+               for i in subset_indices(kp_mask)):
             raise InvariantError(
                 f"conjugator {c} does not conjugate W_{kp_mask} into W_{k_mask}")
         return c

@@ -142,13 +142,13 @@ def ajkk_formula(atlas: ParabolicAtlas, j_mask: int, k_mask: int,
     inside J; in corrected mode only K' whose fixed conjugator c_{K'K} has no
     left descent inside J contribute.  Naive mode drops that filter, which
     reproduces the older published formula (wrong in general).  N_K is the
-    entry of `atlas.images(K)` at K itself.
+    entry of `atlas.images(K)` at K itself, and x lies in W_J iff its
+    support (`group.support[x]`) lies inside J.
     """
     if mode not in ("corrected", "bbht_naive"):
         raise ValueError("mode must be 'corrected' or 'bbht_naive'")
     g = atlas.group
     n_k = len(atlas.images(k_mask)[k_mask])
-    w_j = g.subgroup(j_mask)
     total = 0
     for kp in atlas.classes[atlas.class_of[k_mask]][1]:
         if kp & ~j_mask:
@@ -157,7 +157,7 @@ def ajkk_formula(atlas: ParabolicAtlas, j_mask: int, k_mask: int,
             c = atlas.conjugator(kp, k_mask)
             if g.des_l[c] & j_mask:
                 continue  # c_{K'K} != ^J c_{K'K}
-        inter = sum(x in w_j for x in atlas.images(kp)[kp])
+        inter = sum(not g.support[x] & ~j_mask for x in atlas.images(kp)[kp])
         if n_k % inter:
             raise InvariantError(f"|W_J & N_K'| = {inter} does not divide "
                                  f"|N_K| = {n_k}")

@@ -7,25 +7,26 @@ more primes |W| < p < 2^62.  Denominators are cleared first by scaling the
 element by the common denominator D, which scales every eigenvalue by D.
 
 The matrix is never formed, and there is no convolution and no |W| x |W|
-table.  R_W(a) has constant diagonal a(e), so tr R_W(a)^k = |W| [e] a^k.  The
-expansion of D d is constant on the right-descent classes C_K = {w :
-Des_R(w) = K}, and the descent algebra is a subalgebra of the group algebra
-(L. Solomon, "A Mackey formula in the group ring of a Coxeter group",
-J. Algebra 41, 1976), so every power a^k is too.  Products of such elements
-are read from the counts N[K][K1][K2] = #{u : Des_R(u) = K1, Des_R(u^-1 w_K)
-= K2} at one member w_K of each class, one multiplication row per class, and
-[e] a^k is an entry of the k-th power of a 2^rank x 2^rank matrix mod p.  For
-p > |W| Newton's identities make two monic degree-|W| polynomials agree mod
-p exactly when their first |W| power sums do, so the power sums are compared
-with sum_j m_j (D Delta_j)^k.  The counts use only `mult_row`, `inverse` and
-`des_r`, never the structure constants or the parabolic atlas under test;
-each multiplication row is built for one class member and dropped.
+table.  R_W(a) has constant diagonal a(e), so tr R_W(a)^k = |W| [e] a^k.
+Solomon's y_K is the sum of the right-descent class C_K = {w : Des_R(w) =
+K} (L. Solomon, "A Mackey formula in the group ring of a Coxeter group",
+J. Algebra 41, 1976), so D d is constant on every C_K by definition, with
+value its y-coefficient D y_K, read from `x_to_y`.  The descent algebra is
+a subalgebra of the group algebra, so every power a^k is constant on the
+C_K too.  Products of such elements are read from the counts N[K][K1][K2]
+= #{u : Des_R(u) = K1, Des_R(u^-1 w_K) = K2} at one member w_K of each
+class, one multiplication row per class, and [e] a^k is an entry of the
+k-th power of a 2^rank x 2^rank matrix mod p.  For p > |W| Newton's
+identities make two monic degree-|W| polynomials agree mod p exactly when
+their first |W| power sums do, so the power sums are compared with sum_j
+m_j (D Delta_j)^k.  The counts use only `mult_row`, `inverse` and `des_r`,
+never the structure constants or the parabolic atlas under test; each
+multiplication row is built for one class member and dropped.
 
-The reduction is checked, never assumed: the scaled coefficients must be
-equal on every C_K, and N[K] must be equal at other members of C_K: at every
-member in certified mode (O(|W|^2) work, O(|W|) memory), otherwise at the
-middle and the last member of each class.  A difference raises
-InvariantError.
+The reduction rests on N[K] being the same at every member of C_K, which is
+checked, never assumed: at every member in certified mode (O(|W|^2) work,
+O(|W|) memory), otherwise at the middle and the last member of each class.
+A difference raises InvariantError.
 
 The default (a fixed list of 3 primes) is a probabilistic identity check;
 certified mode adds primes until their product exceeds twice the Hadamard
@@ -48,6 +49,7 @@ from .descent import (
     StructureConstants,
     action_matrix,
     spectrum,
+    x_to_y,
     y_to_x,
 )
 from .errors import GroupTooLargeError, InvariantError
@@ -102,33 +104,16 @@ def _require_primes(primes, n: int):
         seen.add(p)
 
 
-def _scaled_integer_coeffs(group: CoxeterSystem, d: DescentElement):
-    """(D, integer coefficient list of D*d expanded), D = lcm of denominators.
+def _class_coeffs(dx: DescentElement, rank: int) -> tuple[int, list[int]]:
+    """(D, [D y_K for every mask K]) for d in the x-basis, D the lcm of its
+    x-coefficient denominators.
 
-    The x-coefficients are scaled to integers first, so the expansion adds
-    ints: D*c_J on every w in W^J.
+    y_K is the sum of C_K (Solomon 1976), so D y_K is the coefficient of D d
+    at every w in C_K.  It is an integer: y_K is a sum of x-coefficients.
     """
-    dx = y_to_x(d, group.rank)
     den = lcm(*(c.denominator for c in dx.coeffs.values()))
-    out = [0] * group.order
-    for j, c in dx.coeffs.items():
-        v = c.numerator * (den // c.denominator)
-        for w in group.min_coset_reps(j):
-            out[w] += v
-    return den, out
-
-
-def _class_coeffs(group: CoxeterSystem, int_coeffs) -> list[int]:
-    """The coefficient a_K shared by every w in C_K, indexed by the mask K.
-
-    InvariantError if two members of one class differ.
-    """
-    out = {}
-    for k, c in zip(group.des_r, int_coeffs):
-        if out.setdefault(k, c) != c:
-            raise InvariantError(
-                f"coefficients are not constant on right-descent class {k}")
-    return [out[k] for k in range(1 << group.rank)]
+    dy = x_to_y(dx, rank)
+    return den, [int(dy.coeff(k) * den) for k in range(1 << rank)]
 
 
 def _descent_pairs(group: CoxeterSystem, row) -> Counter:
@@ -194,13 +179,14 @@ def _predicted_power_sums(factors, p: int, n: int) -> list[int]:
     return [s % p for s in sums]
 
 
-def _hadamard_coeff_bound(int_coeffs, n: int) -> int:
+def _hadamard_coeff_bound(coeffs, n: int) -> int:
     """Upper bound on |char poly coefficients| of the integer matrix R.
 
-    Every entry of R is one of the element coefficients; |c_{n-k}| is at most
-    C(n,k) (sqrt(k) A)^k <= 2^n (n A^2 + 1)^ceil(n/2) with A = max |entry|.
+    The entries of R are exactly the class coefficients: every C_K holds
+    the longest element of W_K.  |c_{n-k}| is at most C(n,k) (sqrt(k) A)^k
+    <= 2^n (n A^2 + 1)^ceil(n/2) with A = max |entry|.
     """
-    a = max((abs(c) for c in int_coeffs), default=0)
+    a = max((abs(c) for c in coeffs), default=0)
     return (2 ** n) * (n * a * a + 1) ** ((n + 1) // 2)
 
 
@@ -258,7 +244,8 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
     _require_primes(prime_list, n)
     atlas = atlas or ParabolicAtlas(group)
     rep = spectrum(d, atlas, constants)
-    den, int_coeffs = _scaled_integer_coeffs(group, d)
+    dx = y_to_x(d, group.rank)
+    den, coeffs = _class_coeffs(dx, group.rank)
     # eigenvalues scale linearly with the cleared denominator
     factors = []
     for dv, m in zip(rep.delta_values, rep.multiplicities):
@@ -267,7 +254,7 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
             raise InvariantError(f"eigenvalue {dv} times {den} is not an integer")
         factors.append((int(scaled), m))
     if certify:
-        bound = 2 * _hadamard_coeff_bound(int_coeffs, n)
+        bound = 2 * _hadamard_coeff_bound(coeffs, n)
         prod = 1
         for p in prime_list:
             if den % p:
@@ -279,7 +266,6 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
             prime_list.append(cursor)
             if den % cursor:
                 prod *= cursor
-    coeffs = _class_coeffs(group, int_coeffs)
     counts = _class_counts(group, full=certify)
     used, matched, skipped = [], [], []
     for p in prime_list:
@@ -291,7 +277,6 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
         matched.append(got == _predicted_power_sums(factors, p, n))
     if not used:
         raise ValueError("all primes divide the weight denominators")
-    dx = y_to_x(d, group.rank)
     weights = dict(sorted((subset_name(m), rational_to_string(c))
                           for m, c in dx.coeffs.items()))
     return VerificationVerdict(

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -81,6 +82,31 @@ def double_coset_rep(group, w, j_mask, k_mask):
         return w
 
 
+_subgroups = weakref.WeakKeyDictionary()  # group -> {mask: W_J}; dies with the group
+
+
+def subgroup(group, mask):
+    """Element-index set of the standard parabolic subgroup W_J, by BFS over
+    right multiplication by the generators of J."""
+    memo = _subgroups.setdefault(group, {})
+    if mask in memo:
+        return memo[mask]
+    gens = subset_indices(mask)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in gens:
+                v = group.right_table[w][i]
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    memo[mask] = frozenset(seen)
+    return memo[mask]
+
+
 def word(group, w):
     """The stored reduced word for w (generator indices, left to right)."""
     out = []
@@ -99,9 +125,27 @@ def root_permutation(group, w):
     return perm
 
 
+def root_signs(group):
+    """+1 or -1 per root index: Phi+ is the simple roots 0..rank-1 closed
+    under s_j applied to roots other than alpha_j (s_j permutes Phi+ minus
+    alpha_j)."""
+    positive = set(range(group.rank))
+    frontier = list(positive)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for j, perm in enumerate(group.gen_perms):
+                x = perm[r]
+                if r != j and x not in positive:
+                    positive.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return tuple(1 if r in positive else -1 for r in range(group.num_roots))
+
+
 def length_by_roots(group, w):
     """Number of positive roots that w sends negative (equals l(w))."""
-    perm, signs = root_permutation(group, w), group.root_signs
+    perm, signs = root_permutation(group, w), root_signs(group)
     return sum(1 for r in range(group.num_roots)
                if signs[r] > 0 and signs[perm[r]] < 0)
 
@@ -150,8 +194,8 @@ def closure_counts_by_conjugacy(atlas):
             sizes.append(len(members))
     # stable sort: among equal orders the first mask in all_masks wins
     best = [None] * len(sizes)
-    for mask in sorted(atlas.all_masks, key=lambda m: len(g.subgroup(m))):
-        for u in g.subgroup(mask):
+    for mask in sorted(atlas.all_masks, key=lambda m: len(subgroup(g, m))):
+        for u in subgroup(g, mask):
             if best[label[u]] is None:
                 best[label[u]] = atlas.class_of[mask]
     assert None not in best, "a conjugacy class meets no standard parabolic"

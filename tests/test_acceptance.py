@@ -38,7 +38,7 @@ from coxdesc.subsets import (
 )
 from coxdesc.weights import random_weights
 
-from conftest import convolve, double_coset_rep, double_coset_reps
+from conftest import convolve, double_coset_rep, double_coset_reps, subgroup
 
 
 def _pass(n, msg):
@@ -348,7 +348,7 @@ def test_criterion_6c_conjugator_set_equalities(group_factory):
                     if kp == k:
                         continue
                     c = atlas.conjugator(kp, k)
-                    sub_kp, sub_k = group.subgroup(kp), group.subgroup(k)
+                    sub_kp, sub_k = subgroup(group, kp), subgroup(group, k)
                     lhs = set()
                     for w in double_coset_reps(group, kp, k):
                         wi = group.inv(w)

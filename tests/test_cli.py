@@ -14,7 +14,7 @@ from coxdesc.errors import GroupTooLargeError
 from coxdesc.modular import DEFAULT_PRIMES
 from coxdesc.subsets import subset_name
 
-from conftest import closure_counts_by_conjugacy, star_matrix
+from conftest import closure_counts_by_conjugacy, star_matrix, subgroup
 
 
 def run_cli(capsys, *argv):
@@ -46,7 +46,7 @@ def test_group_info_matches_the_group(capsys, atlas_factory, name):
     counts = closure_counts_by_conjugacy(atlas)
     for cls, (rep, members) in zip(data["classes"], atlas.classes):
         assert cls["rep"] == subset_name(rep)
-        assert cls["parabolic_order"] == len(g.subgroup(rep))
+        assert cls["parabolic_order"] == len(subgroup(g, rep))
         assert cls["normalizer_complement"] == len(atlas.normalizer_complement(rep))
         assert cls["elements"] == counts[atlas.class_of[rep]]
 
@@ -92,9 +92,12 @@ def test_bad_matrix_file_exits_2(tmp_path, capsys):
     ("group", None, {"type": 5}),
     ("group", None, [1, 2]),
     ("group", None, {"m": [[1, 2.5], [2.5, 1]]}),
+    ("group", None, {"type": "F4", "rank": 3}),
+    ("group", None, {"type": "F4", "m": [[1]]}),
     ("spectrum", "--weights", [1, 2]),
 ], ids=["m-not-a-list", "rows-not-lists", "type-not-a-string",
-        "spec-not-an-object", "non-integer-bond", "weights-not-an-object"])
+        "spec-not-an-object", "non-integer-bond", "type-with-wrong-rank",
+        "type-with-matrix", "weights-not-an-object"])
 def test_malformed_json_input_exits_2(tmp_path, capsys, command, option, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))

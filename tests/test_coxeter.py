@@ -31,7 +31,9 @@ from conftest import (
     double_coset_reps,
     length_by_roots,
     root_permutation,
+    root_signs,
     star_matrix,
+    subgroup,
     word,
 )
 
@@ -60,12 +62,17 @@ def test_spec_validation_errors():
         CoxeterSpec.from_name("I2(13)")
     with pytest.raises(ValueError):
         CoxeterSpec.from_json({"rank": 3, "m": [[1, 3], [3, 1]]})
+    with pytest.raises(ValueError, match="rank does not match"):
+        CoxeterSpec.from_json({"type": "F4", "rank": 3})
+    with pytest.raises(ValueError, match='"type" or "m", not both'):
+        CoxeterSpec.from_json({"type": "A2", "m": [[1, 3], [3, 1]]})
 
 
 def test_spec_json_roundtrip():
     spec = CoxeterSpec.from_name("H3")
     again = CoxeterSpec.from_json(spec.to_json())
     assert again.matrix == spec.matrix
+    assert CoxeterSpec.from_json({"type": "H3", "rank": 3}) == spec
     custom = CoxeterSpec.from_json({"m": [[1, 5], [5, 1]]})
     assert custom.rank == 2 and custom.type_tag is None
 
@@ -159,7 +166,7 @@ def test_root_signs_from_closure(group_factory, name):
         g = build_group(CoxeterSpec.from_matrix(EXPLICIT_MATRICES[name]))
     else:
         g = group_factory(name)
-    signs = g.root_signs
+    signs = root_signs(g)
     positive = [r for r in range(g.num_roots) if signs[r] > 0]
     assert 2 * len(positive) == g.num_roots
     for i, perm in enumerate(g.gen_perms):
@@ -397,7 +404,7 @@ def test_min_coset_reps_counts(group_factory):
         assert g.min_coset_reps(full) == [0]
         for mask in iter_subsets(g.rank):
             reps = g.min_coset_reps(mask)
-            assert len(reps) * len(g.subgroup(mask)) == g.order
+            assert len(reps) * len(subgroup(g, mask)) == g.order
             for w in reps:
                 for i in subset_indices(mask):
                     assert g.length[g.right_table[w][i]] > g.length[w]
@@ -413,7 +420,7 @@ def test_unique_length_additive_factorization(group_factory):
         g = group_factory(name)
         for mask in iter_subsets(g.rank):
             reps = g.min_coset_reps(mask)
-            sub = g.subgroup(mask)
+            sub = subgroup(g, mask)
             seen = {}
             for u in reps:
                 row = g.mult_row(u)
@@ -455,7 +462,7 @@ def test_double_coset_rep(group_factory):
     # members of W_J reduce to the identity on the left
     b2 = group_factory("B2")
     for j in iter_subsets(2):
-        for w in b2.subgroup(j):
+        for w in subgroup(b2, j):
             assert double_coset_rep(b2, w, j, 0) == 0
     # representative is independent of the coset member sampled
     g = group_factory("B3")
@@ -465,7 +472,7 @@ def test_double_coset_rep(group_factory):
         k = rng.randrange(8)
         w = rng.randrange(g.order)
         x = double_coset_rep(g, w, j, k)
-        wj, wk = sorted(g.subgroup(j)), sorted(g.subgroup(k))
+        wj, wk = sorted(subgroup(g, j)), sorted(subgroup(g, k))
         for _ in range(10):
             u = rng.choice(wj)
             v = rng.choice(wk)
@@ -517,7 +524,7 @@ def test_normalizer_complement(group_factory, atlas_factory):
         a = ParabolicAtlas(g)
         for mask in iter_subsets(g.rank):
             nj = a.normalizer_complement(mask)
-            sub = g.subgroup(mask)
+            sub = subgroup(g, mask)
             assert 0 in nj
             assert nj & sub == {0}
             for x in nj:
@@ -565,7 +572,7 @@ def test_conjugator_coset_set_equalities(group_factory, name):
     atlas = ParabolicAtlas(g)
     for kp, k in _conjugate_pairs(atlas):
         c = atlas.conjugator(kp, k)
-        sub_kp, sub_k = g.subgroup(kp), g.subgroup(k)
+        sub_kp, sub_k = subgroup(g, kp), subgroup(g, k)
         lhs = set()
         for w in double_coset_reps(g, kp, k):
             wi = g.inv(w)
@@ -664,12 +671,12 @@ def test_atlas_matches_the_literal_definition(group_factory, name):
     g = group_factory(name)
     atlas = ParabolicAtlas(g)
     masks = list(iter_subsets(g.rank))
-    mask_of = {g.subgroup(k): k for k in masks}
+    mask_of = {subgroup(g, k): k for k in masks}
     first = {}  # (K', K) -> the first w with w^-1 W_K' w = W_K
     normalizers = {k: set() for k in masks}
     for kp in masks:
         for w in range(g.order):
-            k = mask_of.get(frozenset(g.conj(t, w) for t in g.subgroup(kp)))
+            k = mask_of.get(frozenset(g.conj(t, w) for t in subgroup(g, kp)))
             if k is not None:
                 first.setdefault((kp, k), w)
                 if k == kp and not g.des_r[w] & k:
@@ -693,7 +700,7 @@ def test_conjugator_set_equalities_f4_sampled(group_factory, atlas_factory):
     for kp, k in pairs:
         assert atlas.class_of[kp] == atlas.class_of[k]
         c = atlas.conjugator(kp, k)
-        sub_kp, sub_k = g.subgroup(kp), g.subgroup(k)
+        sub_kp, sub_k = subgroup(g, kp), subgroup(g, k)
         lhs = set()
         for w in double_coset_reps(g, kp, k):
             wi = g.inv(w)
@@ -766,7 +773,18 @@ def test_closure_counts_from_degrees_match_conjugacy_sweep(group_factory, name):
     atlas = ParabolicAtlas(g)
     assert atlas.closure_class_counts() == closure_counts_by_conjugacy(atlas)
     for mask in atlas.all_masks:
-        assert prod(parabolic_degrees(g.spec, mask)) == len(g.subgroup(mask))
+        assert prod(parabolic_degrees(g.spec, mask)) == len(subgroup(g, mask))
+
+
+@pytest.mark.parametrize("name", SIGN_GROUPS + ["A1xA2", "H3xA2"])
+def test_support_masks_give_parabolic_subgroups(group_factory, name):
+    # x lies in W_J iff the generators of its stored reduced word lie in J
+    matrix = {**EXPLICIT_MATRICES, **REDUCIBLE_MATRICES}.get(name)
+    g = build_group(CoxeterSpec.from_matrix(matrix)) if matrix else group_factory(name)
+    for mask in iter_subsets(g.rank):
+        members = frozenset(w for w in range(g.order) if not g.support[w] & ~mask)
+        assert members == subgroup(g, mask)
+        assert len(members) == prod(parabolic_degrees(g.spec, mask))
 
 
 def test_word_is_reduced(group_factory):
@@ -791,7 +809,7 @@ def test_cache_roundtrip(tmp_path, group_factory):
     assert cached.right_table == fresh.right_table
     assert cached.length == fresh.length
     assert cached.des_l == fresh.des_l and cached.des_r == fresh.des_r
-    assert cached.root_signs == fresh.root_signs
+    assert root_signs(cached) == root_signs(fresh)
     assert cached.inverse == fresh.inverse
 
 

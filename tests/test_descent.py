@@ -33,7 +33,13 @@ from coxdesc.subsets import (
     subset_name,
 )
 
-from conftest import bergeron_sorted, class_sizes_from_A, convolve, double_coset_reps
+from conftest import (
+    bergeron_sorted,
+    class_sizes_from_A,
+    convolve,
+    double_coset_reps,
+    subgroup,
+)
 
 
 def _random_element(rank, seed, basis="x"):
@@ -93,7 +99,7 @@ def test_a_j_empty_empty(group_factory, constants_factory):
         g = group_factory(name)
         sc = constants_factory(name)
         for j in iter_subsets(g.rank):
-            assert sc.value(j, 0, 0) == g.order // len(g.subgroup(j))
+            assert sc.value(j, 0, 0) == g.order // len(subgroup(g, j))
 
 
 def test_f4_bottom_row_is_ones(constants_factory):
@@ -120,10 +126,10 @@ def test_structure_constants_vanish_outside_k(constants_factory):
 def _intersection_mask(g, x, j, k):
     """L with x^-1 W_J x intersect W_K = W_L, found by conjugating in W."""
     xi = g.inv(x)
-    inter = {g.mul(g.mul(xi, t), x) for t in g.subgroup(j)} & g.subgroup(k)
+    inter = {g.mul(g.mul(xi, t), x) for t in subgroup(g, j)} & subgroup(g, k)
     lmask = sum(1 << i for i in subset_indices(k)
                 if g.right_table[0][i] in inter)
-    assert inter == g.subgroup(lmask)
+    assert inter == subgroup(g, lmask)
     return lmask
 
 
@@ -429,7 +435,7 @@ def test_action_matrix_x_empty_pattern(group_factory, constants_factory):
     for i, l_mask in enumerate(order):
         for j, k_mask in enumerate(order):
             if i == pos0:
-                assert mat[i][j] == g.order // len(g.subgroup(k_mask))
+                assert mat[i][j] == g.order // len(subgroup(g, k_mask))
             else:
                 assert mat[i][j] == 0
     for i in range(len(order)):
@@ -614,3 +620,22 @@ def test_src_imports_are_used():
         unused += [f"{name}:{line} {ident}" for ident, line in imported.items()
                    if ident not in used and (module, ident) not in hooked]
     assert unused == []
+
+
+def test_src_private_helpers_are_used():
+    # a function or method named _x must be read somewhere in the package or
+    # be a perfbench hook target; Python itself calls the __dunder__ ones
+    hooked = {attr for _, attr, _ in _perfbench_hooks()}
+    defined, read = {}, set()
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined[node.name] = f"{name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{where} {ident}" for ident, where in defined.items()
+            if ident not in read and ident not in hooked]
+    assert dead == []

@@ -11,6 +11,7 @@ from coxdesc.descent import (
     action_matrix,
     multiply,
     spectrum,
+    y_to_x,
 )
 from coxdesc.errors import GroupTooLargeError, InvariantError
 from coxdesc.modular import DEFAULT_PRIMES, charpoly_mod
@@ -22,6 +23,7 @@ from coxdesc.oracle import (
     verify_spectrum,
 )
 from coxdesc.subsets import iter_subsets
+from coxdesc.weights import parse_preset
 from tests.test_modular import faddeev_charpoly
 
 from conftest import charpoly_from_power_sums, convolve, regular_rep
@@ -127,10 +129,9 @@ def test_power_sum_charpoly_matches_regular_rep(group_factory, name):
     # Hessenberg charpoly of the explicit matrix R_W(D d)
     g = group_factory(name)
     d = _random_element(g.rank, 5)
-    den, int_coeffs = oracle._scaled_integer_coeffs(g, d)
+    den, coeffs = oracle._class_coeffs(d, g.rank)
     p = DEFAULT_PRIMES[0]
-    sums = oracle._power_sums(oracle._class_counts(g, full=True),
-                              oracle._class_coeffs(g, int_coeffs), g.order, p)
+    sums = oracle._power_sums(oracle._class_counts(g, full=True), coeffs, g.order, p)
     mat = [[int(v * den) for v in row] for row in regular_rep(g, d)]
     assert charpoly_from_power_sums(sums, p) == charpoly_mod(mat, p)
 
@@ -139,15 +140,36 @@ def test_power_sum_charpoly_matches_regular_rep(group_factory, name):
 def test_class_power_sums_match_convolution(group_factory, name):
     # |W| [e] a^k from Fraction convolutions in the group algebra
     g = group_factory(name)
-    den, int_coeffs = oracle._scaled_integer_coeffs(g, _random_element(g.rank, 12))
+    d = _random_element(g.rank, 12)
+    den, coeffs = oracle._class_coeffs(d, g.rank)
     p = DEFAULT_PRIMES[0]
-    sums = oracle._power_sums(oracle._class_counts(g, full=False),
-                              oracle._class_coeffs(g, int_coeffs), g.order, p)
-    a = GroupAlgebraElement(dict(enumerate(int_coeffs)))
+    sums = oracle._power_sums(oracle._class_counts(g, full=False), coeffs, g.order, p)
+    a = GroupAlgebraElement({w: den * c for w, c in expand(g, d).coeffs.items()})
     x = a
     for k in range(6):
         assert sums[k] == g.order * x.coeff(0) % p
         x = convolve(g, x, a)
+
+
+@pytest.mark.parametrize("name,weights", [
+    *[(name, "seeded") for name in ("H3", "F4", "D4", "B4", "A5", "I2(7)")],
+    ("A3", "qmaj:2"), ("A3", "desx:1,1/2,3"), ("A3", "zero")])
+def test_class_coeffs_are_the_expanded_coefficients(group_factory, name, weights):
+    # D y_K is the coefficient of D d at every w with Des_R(w) = K, and the
+    # Hadamard bound reads the same maximum from either list
+    g = group_factory(name)
+    if weights == "seeded":
+        d = _random_element(g.rank, 21)
+    elif weights == "zero":
+        d = DescentElement("x", {})
+    else:
+        d = parse_preset(weights, g.spec)
+    den, coeffs = oracle._class_coeffs(y_to_x(d, g.rank), g.rank)
+    expanded = expand(g, d)
+    scaled = [den * expanded.coeff(w) for w in range(g.order)]
+    assert scaled == [coeffs[k] for k in g.des_r]
+    assert oracle._hadamard_coeff_bound(coeffs, g.order) == \
+        oracle._hadamard_coeff_bound(scaled, g.order)
 
 
 def _last_member(g, k_mask):
@@ -171,21 +193,6 @@ def test_class_counts_guard(group_factory, monkeypatch, full):
         oracle._class_counts(g, full=full)
     with pytest.raises(InvariantError, match="class 1"):
         verify_spectrum(g, _random_element(3, 13), certify=full)
-
-
-def test_class_coeffs_guard(group_factory, monkeypatch):
-    g = group_factory("B3")
-    target = _last_member(g, 0b100)
-    real = oracle._scaled_integer_coeffs
-
-    def corrupted(group, d):
-        den, out = real(group, d)
-        out[target] += 1
-        return den, out
-
-    monkeypatch.setattr(oracle, "_scaled_integer_coeffs", corrupted)
-    with pytest.raises(InvariantError, match="class 4"):
-        verify_spectrum(g, _random_element(3, 14))
 
 
 def test_regular_rep_guard(group_factory, monkeypatch):
@@ -237,10 +244,8 @@ def test_verify_spectrum_certified_small(group_factory, atlas_factory):
                         atlas=atlas_factory("A2"))
     assert v.certified and v.all_matched
     # enough primes to cover the Hadamard bound
-    from coxdesc.oracle import _hadamard_coeff_bound, _scaled_integer_coeffs
-
-    den, coeffs = _scaled_integer_coeffs(g, _random_element(2, 7))
-    bound = 2 * _hadamard_coeff_bound(coeffs, g.order)
+    _, coeffs = oracle._class_coeffs(_random_element(2, 7), 2)
+    bound = 2 * oracle._hadamard_coeff_bound(coeffs, g.order)
     prod = 1
     for p in v.primes:
         prod *= p
