@@ -16,12 +16,29 @@ a subalgebra of the group algebra, so every power a^k is constant on the
 C_K too.  Products of such elements are read from the counts N[K][K1][K2]
 = #{u : Des_R(u) = K1, Des_R(u^-1 w_K) = K2} at one member w_K of each
 class, one multiplication row per class, and [e] a^k is an entry of the
-k-th power of a 2^rank x 2^rank matrix mod p.  For p > |W| Newton's
+k-th power of a 2^rank x 2^rank matrix L mod p.  For p > |W| Newton's
 identities make two monic degree-|W| polynomials agree mod p exactly when
 their first |W| power sums do, so the power sums are compared with sum_j
-m_j (D Delta_j)^k.  The counts use only `mult_row`, `inverse` and `des_r`,
-never the structure constants or the parabolic atlas under test; each
-multiplication row is built for one class member and dropped.
+m_j (D Delta_j)^k.
+
+Far fewer than |W| of them settle it.  Over F_p let rho_j = D Delta_j and
+
+    s_k = |W| (L^k)_00 - sum_j m_j rho_j^k        (k >= 0).
+
+With E the shift (E s)_k = s_(k+1), Cayley-Hamilton gives chi_L(E) (L^k)_00
+= 0, and (E - rho) kills rho^k, so the monic polynomial chi_L(E) prod (E -
+rho) over the distinct rho_j, of degree at most 2^rank + c with c the
+number of predicted eigenvalues, annihilates (s_k).  Hence s_0 = ... =
+s_(2^rank+c-1) = 0 forces s_k = 0 for every k: in particular the first |W|
+power sums agree, and by Newton's identities (p > |W|) so do the two
+characteristic polynomials.  So each prime runs steps = min(|W|, 2^rank +
+c - 1) products with L, and compares s_0 (|W| against sum_j m_j, which
+leaves the oracle independent of `spectrum`'s own sum check) through
+s_steps.  A match means exactly what comparing all |W| power sums means.
+
+The counts use only `mult_row`, `inverse` and `des_r`, never the structure
+constants or the parabolic atlas under test; each multiplication row is
+built for one class member and dropped.
 
 The reduction rests on N[K] being the same at every member of C_K, which is
 checked, never assumed: at every member in certified mode (O(|W|^2) work,
@@ -58,7 +75,10 @@ from .exact import rational_to_string
 from .modular import DEFAULT_PRIMES, charpoly_mod, is_prime, primes_below
 from .subsets import subset_name
 
-REGULAR_REP_CAP = 20000
+# _class_counts reads one multiplication row of |W| entries per checked class
+# member: about 3 * 2^rank rows when sampled, all |W| rows in certified mode.
+SAMPLED_COUNTS_CAP = 51840   # |E6|; also admits A7, B6 and D6
+FULL_COUNTS_CAP = 20000
 
 
 @dataclass
@@ -84,10 +104,14 @@ def expand(group: CoxeterSystem, d: DescentElement) -> GroupAlgebraElement:
     return GroupAlgebraElement({w: c for w, c in enumerate(out) if c})
 
 
-def _require_rep_size(n: int):
-    if n > REGULAR_REP_CAP:
+def _require_counts_size(n: int, full: bool):
+    """Refuse a group whose class counts would cost too much: |W| above
+    FULL_COUNTS_CAP in certified mode, above SAMPLED_COUNTS_CAP otherwise."""
+    cap = FULL_COUNTS_CAP if full else SAMPLED_COUNTS_CAP
+    if n > cap:
+        mode = "certified" if full else "sampled"
         raise GroupTooLargeError(
-            f"regular representation refused for |W| = {n} > {REGULAR_REP_CAP}")
+            f"{mode} class counts refused for |W| = {n} > {cap}")
 
 
 def _require_primes(primes, n: int):
@@ -146,13 +170,20 @@ def _class_counts(group: CoxeterSystem, full: bool) -> list[Counter]:
     return counts
 
 
-def _power_sums(counts, coeffs, n: int, p: int) -> list[int]:
-    """[tr R_W(a)^k mod p for k = 1..n], a = sum_K coeffs[K] (sum of C_K).
+def _power_sums(counts, coeffs, n: int, p: int, steps: int) -> list[int]:
+    """[tr R_W(a)^k mod p for k = 0..steps], a = sum_K coeffs[K] (sum of C_K).
 
     a lies in the descent algebra, so every a^k does, and the vector of
     class values of a*b is L b with L[K][K2] = sum_K1 N[K][K1][K2] a_K1.
     The identity is the only element with no descents, so a^k = L^k e_0
     and tr R_W(a)^k = n [e] a^k = n (L^k e_0)_0.
+
+    steps = min(n, 2^rank + c - 1) settles the comparison with c predicted
+    roots rho_j: s_k = n (L^k)_00 - sum_j m_j rho_j^k is annihilated by
+    chi_L(E) prod (E - rho) over the distinct rho_j (E the shift), a monic
+    polynomial of degree at most 2^rank + c, so s_0 = ... = s_steps = 0
+    forces s_k = 0 for every k; with p > n, Newton's identities then equate
+    the characteristic polynomials.  steps = n gives all n power sums.
     """
     size = len(counts)
     mat = [[0] * size for _ in range(size)]
@@ -161,21 +192,21 @@ def _power_sums(counts, coeffs, n: int, p: int) -> list[int]:
             row[k2] += c * coeffs[k1]
     mat = [[x % p for x in row] for row in mat]
     x = [1] + [0] * (size - 1)
-    out = []
-    for _ in range(n):
+    out = [n % p]
+    for _ in range(steps):
         x = [sum(map(mul, row, x)) % p for row in mat]
         out.append(n * x[0] % p)
     return out
 
 
-def _predicted_power_sums(factors, p: int, n: int) -> list[int]:
-    """[sum of mult * root^k mod p over (root, mult) for k = 1..n]."""
-    sums = [0] * n
+def _predicted_power_sums(factors, p: int, steps: int) -> list[int]:
+    """[sum of mult * root^k mod p over (root, mult) for k = 0..steps]."""
+    sums = [0] * (steps + 1)
     for root, mult in factors:
         x = 1
-        for k in range(n):
-            x = x * root % p
+        for k in range(steps + 1):
             sums[k] += mult * x
+            x = x * root % p
     return [s % p for s in sums]
 
 
@@ -237,9 +268,12 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
     certified mode extra primes are appended until their product exceeds
     twice the Hadamard coefficient bound, making the match an exact integer
     identity, and the class counts are checked at every class member.
+    Each prime compares the power sums for k = 0..min(|W|, 2^rank + c - 1),
+    c the number of predicted eigenvalues, which decides all of them (see
+    the module docstring).
     """
     n = group.order
-    _require_rep_size(n)  # fail before building the atlas and spectrum
+    _require_counts_size(n, certify)  # fail before building the atlas and spectrum
     prime_list = list(primes)
     _require_primes(prime_list, n)
     atlas = atlas or ParabolicAtlas(group)
@@ -267,14 +301,15 @@ def verify_spectrum(group: CoxeterSystem, d: DescentElement,
             if den % cursor:
                 prod *= cursor
     counts = _class_counts(group, full=certify)
+    steps = min(n, len(counts) + len(factors) - 1)
     used, matched, skipped = [], [], []
     for p in prime_list:
         if den % p == 0:
             skipped.append(p)
             continue
-        got = _power_sums(counts, coeffs, n, p)
+        got = _power_sums(counts, coeffs, n, p, steps)
         used.append(p)
-        matched.append(got == _predicted_power_sums(factors, p, n))
+        matched.append(got == _predicted_power_sums(factors, p, steps))
     if not used:
         raise ValueError("all primes divide the weight denominators")
     weights = dict(sorted((subset_name(m), rational_to_string(c))

@@ -1,14 +1,18 @@
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
+from math import factorial, prod
 
 import pytest
 
-from coxdesc import oracle
 from coxdesc.coxeter import CoxeterSpec, ParabolicAtlas, build_group
 from coxdesc.descent import StructureConstants, ajkk_matrix, solve_class_vector
+from coxdesc.errors import GroupTooLargeError
 from coxdesc.oracle import GroupAlgebraElement, expand
 from coxdesc.subsets import bergeron_compare, subset_indices
+
+REGULAR_REP_CAP = 20000  # regular_rep builds a |W| x |W| matrix
 
 _groups = {}
 _atlases = {}
@@ -220,9 +224,11 @@ def regular_rep(group, d):
     """R_W(d) as Fraction rows: entry (w, w') = coefficient of w w'^-1.
 
     Acting on coordinate vectors this is left multiplication by d.  Refused
-    above the oracle's REGULAR_REP_CAP, like the oracle itself.
+    above REGULAR_REP_CAP.
     """
-    oracle._require_rep_size(group.order)
+    if group.order > REGULAR_REP_CAP:
+        raise GroupTooLargeError(
+            f"regular representation refused for |W| = {group.order} > {REGULAR_REP_CAP}")
     coeffs = expand(group, d)
     inverse = group.inverse
     return [[coeffs.coeff(row[v]) for v in inverse]
@@ -258,3 +264,37 @@ def charpoly_from_power_sums(sums, p):
         acc = sum(s * c[n - k + i] for i, s in enumerate(sums[:k], 1))
         c[n - k] = -acc * pow(k, -1, p) % p
     return c
+
+
+def block_partition(mask, rank):
+    """The partition of n = rank + 1 that W_K is the Young subgroup of in
+    A_rank: the block sizes of K (maximal runs of consecutive generators,
+    plus one), largest first."""
+    sizes, run = [], 1
+    for i in range(rank):
+        if mask >> i & 1:
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    sizes.append(run)
+    return tuple(sorted(sizes, reverse=True))
+
+
+def cycle_type_count(lam):
+    """n!/z_lambda: the number of permutations of cycle type lambda."""
+    z = prod(i ** m * factorial(m) for i, m in Counter(lam).items())
+    return factorial(sum(lam)) // z
+
+
+def thibon_qmaj_delta(lam, q, shift=0):
+    """Thibon's eigenvalue of sum_sigma q^maj(sigma) sigma on the class
+    lambda: prod_(i=1..n) (1 - q^i) / prod_j (1 - q^(lambda_j - shift)).
+
+    shift = 0 is the theorem; shift = 1 is a control, None (no eigenvalue)
+    where a part 1 makes its denominator vanish.
+    """
+    den = prod(1 - q ** (part - shift) for part in lam)
+    if not den:
+        return None
+    return prod(1 - q ** i for i in range(1, sum(lam) + 1)) / den

@@ -32,13 +32,17 @@ from coxdesc.subsets import (
     subset_indices,
     subset_name,
 )
+from coxdesc.weights import parse_preset
 
 from conftest import (
     bergeron_sorted,
+    block_partition,
     class_sizes_from_A,
     convolve,
+    cycle_type_count,
     double_coset_reps,
     subgroup,
+    thibon_qmaj_delta,
 )
 
 
@@ -639,3 +643,24 @@ def test_src_private_helpers_are_used():
     dead = [f"{where} {ident}" for ident, where in defined.items()
             if ident not in read and ident not in hooked]
     assert dead == []
+
+
+@pytest.mark.parametrize("q", ["2", "-3", "1/2", "5/7"])
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_qmaj_spectrum_is_thibons(atlas_factory, constants_factory, rank, q):
+    # the class of K in A_(n-1), labelled by its block partition lambda, has
+    # Thibon's Delta_lambda and n!/z_lambda elements; the reference reads no
+    # descent-algebra data
+    name = f"A{rank}"
+    rep = spectrum(parse_preset(f"qmaj:{q}", CoxeterSpec.from_name(name)),
+                   atlas_factory(name), constants_factory(name))
+    lams = []
+    for members in rep.class_members:
+        labels = {block_partition(k, rank) for k in members}
+        assert len(labels) == 1
+        lams += labels
+    assert len(set(lams)) == len(lams)
+    assert rep.multiplicities == [cycle_type_count(lam) for lam in lams]
+    q = Fraction(q)
+    assert rep.delta_values == [thibon_qmaj_delta(lam, q) for lam in lams]
+    assert rep.delta_values != [thibon_qmaj_delta(lam, q, shift=1) for lam in lams]

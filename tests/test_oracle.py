@@ -26,7 +26,15 @@ from coxdesc.subsets import iter_subsets
 from coxdesc.weights import parse_preset
 from tests.test_modular import faddeev_charpoly
 
-from conftest import charpoly_from_power_sums, convolve, regular_rep
+import conftest
+from conftest import (
+    block_partition,
+    charpoly_from_power_sums,
+    convolve,
+    cycle_type_count,
+    regular_rep,
+    thibon_qmaj_delta,
+)
 
 
 def _random_element(rank, seed):
@@ -131,9 +139,11 @@ def test_power_sum_charpoly_matches_regular_rep(group_factory, name):
     d = _random_element(g.rank, 5)
     den, coeffs = oracle._class_coeffs(d, g.rank)
     p = DEFAULT_PRIMES[0]
-    sums = oracle._power_sums(oracle._class_counts(g, full=True), coeffs, g.order, p)
+    counts = oracle._class_counts(g, full=True)
+    sums = oracle._power_sums(counts, coeffs, g.order, p, g.order)
+    assert sums[0] == g.order
     mat = [[int(v * den) for v in row] for row in regular_rep(g, d)]
-    assert charpoly_from_power_sums(sums, p) == charpoly_mod(mat, p)
+    assert charpoly_from_power_sums(sums[1:], p) == charpoly_mod(mat, p)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
@@ -143,10 +153,11 @@ def test_class_power_sums_match_convolution(group_factory, name):
     d = _random_element(g.rank, 12)
     den, coeffs = oracle._class_coeffs(d, g.rank)
     p = DEFAULT_PRIMES[0]
-    sums = oracle._power_sums(oracle._class_counts(g, full=False), coeffs, g.order, p)
+    sums = oracle._power_sums(oracle._class_counts(g, full=False), coeffs,
+                              g.order, p, 6)
     a = GroupAlgebraElement({w: den * c for w, c in expand(g, d).coeffs.items()})
-    x = a
-    for k in range(6):
+    x = GroupAlgebraElement({0: 1})
+    for k in range(7):
         assert sums[k] == g.order * x.coeff(0) % p
         x = convolve(g, x, a)
 
@@ -196,13 +207,37 @@ def test_class_counts_guard(group_factory, monkeypatch, full):
 
 
 def test_regular_rep_guard(group_factory, monkeypatch):
-    monkeypatch.setattr(oracle, "REGULAR_REP_CAP", 5)
+    monkeypatch.setattr(conftest, "REGULAR_REP_CAP", 5)
     with pytest.raises(GroupTooLargeError, match="refused"):
         regular_rep(group_factory("A2"), DescentElement.unit(2))
+    monkeypatch.setattr(oracle, "SAMPLED_COUNTS_CAP", 5)
     with pytest.raises(GroupTooLargeError, match="refused"):
         verify_spectrum(group_factory("A2"), DescentElement.unit(2))
     with pytest.raises(GroupTooLargeError, match="refused"):
         verify_lemma_same_spectrum(group_factory("A2"), DescentElement.unit(2))
+
+
+def test_class_counts_caps():
+    # every group the oracle accepted under the single 20,000 cap is still
+    # accepted; the sampled counts admit E6, A7, B6 and D6
+    assert oracle.FULL_COUNTS_CAP == 20000
+    assert oracle.SAMPLED_COUNTS_CAP == 51840
+
+
+@pytest.mark.parametrize("certify", [False, True], ids=["sampled", "certified"])
+def test_class_counts_cap_boundary(group_factory, monkeypatch, certify):
+    # each mode reads its own cap only: the other one is set below |W|
+    g, d = group_factory("A3"), _random_element(3, 14)
+    mode, cap, other = (("certified", "FULL_COUNTS_CAP", "SAMPLED_COUNTS_CAP")
+                        if certify else
+                        ("sampled", "SAMPLED_COUNTS_CAP", "FULL_COUNTS_CAP"))
+    monkeypatch.setattr(oracle, other, 1)
+    monkeypatch.setattr(oracle, cap, g.order)
+    assert verify_spectrum(g, d, certify=certify).all_matched
+    monkeypatch.setattr(oracle, cap, g.order - 1)
+    with pytest.raises(GroupTooLargeError, match=re.escape(
+            f"{mode} class counts refused for |W| = 24 > 23")):
+        verify_spectrum(g, d, certify=certify)
 
 
 def test_verify_spectrum_a2(group_factory, atlas_factory):
@@ -260,6 +295,17 @@ def test_verify_uniform_h3(group_factory, atlas_factory):
     assert sorted(m for _, m in v.predicted_factors) == [1, 15, 15, 20, 24, 45]
 
 
+def _patch_spectrum(monkeypatch, edit):
+    """Make the oracle see edit(report) in place of spectrum's report."""
+    monkeypatch.setattr(oracle, "spectrum",
+                        lambda *args, **kwargs: edit(spectrum(*args, **kwargs)))
+
+
+def _scaled_factors(rep, den):
+    """(D Delta_j, m_j) per class, as verify_spectrum forms them."""
+    return [(int(dv * den), m) for dv, m in zip(rep.delta_values, rep.multiplicities)]
+
+
 def _shift_last_delta(rep):
     return dataclasses.replace(
         rep, delta_values=rep.delta_values[:-1] + [rep.delta_values[-1] + 1])
@@ -276,12 +322,127 @@ def _move_one_multiplicity(rep):
 @pytest.mark.parametrize("name", ["B3", "H3"])
 def test_verify_spectrum_rejects_a_wrong_spectrum(group_factory, atlas_factory,
                                                   monkeypatch, name, corrupt):
-    real = oracle.spectrum
-    monkeypatch.setattr(oracle, "spectrum",
-                        lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+    _patch_spectrum(monkeypatch, corrupt)
     v = verify_spectrum(group_factory(name), _random_element(3, 11),
                         atlas=atlas_factory(name))
     assert v.matched == [False] * len(DEFAULT_PRIMES)
+
+
+@pytest.mark.parametrize("name", ["H3", "F4", "D4", "A5", "B4", "I2(7)"])
+def test_truncated_power_sums_decide_like_all_of_them(group_factory, atlas_factory,
+                                                      monkeypatch, name):
+    # verify_spectrum stops after 2^rank + c - 1 power sums; its verdict must
+    # be the one all |W| of them give, for the true spectrum and two wrong ones
+    g, d = group_factory(name), _random_element(group_factory(name).rank, 22)
+    den, coeffs = oracle._class_coeffs(y_to_x(d, g.rank), g.rank)
+    counts = oracle._class_counts(g, full=False)
+    every_sum = [oracle._power_sums(counts, coeffs, g.order, p, g.order)
+                 for p in DEFAULT_PRIMES]
+    for corrupt, expected in [(lambda rep: rep, True),
+                              (_shift_last_delta, False),
+                              (_move_one_multiplicity, False)]:
+        _patch_spectrum(monkeypatch, corrupt)
+        v = verify_spectrum(g, d, atlas=atlas_factory(name))
+        assert v.primes == list(DEFAULT_PRIMES)
+        assert v.matched == [expected] * len(DEFAULT_PRIMES)
+        factors = _scaled_factors(v.report, den)
+        assert v.matched == [
+            sums == oracle._predicted_power_sums(factors, p, g.order)
+            for p, sums in zip(DEFAULT_PRIMES, every_sum)]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "F4"])
+def test_verify_spectrum_step_count(group_factory, monkeypatch, name):
+    # min(|W|, 2^rank + c - 1) power sums per prime: 2 on A1, 6 = |W| on A2
+    # (2^2 + 3 - 1 = 6), 16 + 12 - 1 = 27 on F4 (12 parabolic classes)
+    calls = []
+
+    def recording(real):
+        def run(*args):
+            calls.append(args[-1])
+            return real(*args)
+        return run
+
+    for fn in ("_power_sums", "_predicted_power_sums"):
+        monkeypatch.setattr(oracle, fn, recording(getattr(oracle, fn)))
+    g = group_factory(name)
+    v = verify_spectrum(g, _random_element(g.rank, 25))
+    assert v.all_matched
+    steps = min(g.order, (1 << g.rank) + len(v.predicted_factors) - 1)
+    assert steps == {"A1": 2, "A2": 6, "F4": 27}[name]
+    assert calls == [steps] * 2 * len(DEFAULT_PRIMES)
+
+
+@pytest.mark.parametrize("name", ["A2", "H3"])
+def test_verify_spectrum_checks_the_zeroth_power_sum(group_factory, monkeypatch, name):
+    # an extra eigenvalue 0 changes only sum_j m_j, the k = 0 power sum
+    _patch_spectrum(monkeypatch, lambda rep: dataclasses.replace(
+        rep, delta_values=rep.delta_values + [Fraction(0)],
+        multiplicities=rep.multiplicities + [1]))
+    g = group_factory(name)
+    v = verify_spectrum(g, _random_element(g.rank, 24))
+    assert v.matched == [False] * len(DEFAULT_PRIMES)
+
+
+def _thue_morse_split(start, size):
+    """start + i over i < size, split by the parity of i's binary digit sum.
+
+    For size = 2^(t+1) the two halves have equal k-th power sums for every
+    k <= t (Prouhet), and unequal (t+1)-th ones.
+    """
+    halves = ([], [])
+    for i in range(size):
+        halves[bin(i).count("1") % 2].append(start + i)
+    return halves
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "I2(5)"])
+def test_verify_spectrum_runs_past_2_to_the_rank(group_factory, monkeypatch, name):
+    # a Prouhet-Tarry-Escott pair added to the prediction (+1 on one half,
+    # -1 on the other) agrees with the true power sums for k <= t = 2^rank,
+    # so only a run past k = t rejects it
+    g = group_factory(name)
+    t = 1 << g.rank
+    plus, minus = _thue_morse_split(1000, 2 ** (t + 1))
+    _patch_spectrum(monkeypatch, lambda rep: dataclasses.replace(
+        rep, delta_values=rep.delta_values + [Fraction(v) for v in plus + minus],
+        multiplicities=rep.multiplicities + [1] * len(plus) + [-1] * len(minus)))
+    d = _random_element(g.rank, 23)
+    v = verify_spectrum(g, d)
+    assert v.matched == [False] * len(DEFAULT_PRIMES)
+    den, coeffs = oracle._class_coeffs(y_to_x(d, g.rank), g.rank)
+    factors = _scaled_factors(v.report, den)
+    counts = oracle._class_counts(g, full=False)
+    gap = (sum((den * a) ** (t + 1) for a in plus)
+           - sum((den * b) ** (t + 1) for b in minus))
+    for p in DEFAULT_PRIMES:
+        assert oracle._power_sums(counts, coeffs, g.order, p, t) == \
+            oracle._predicted_power_sums(factors, p, t)
+        assert gap % p
+
+
+def _thibon_report(rep, rank, q, swap=()):
+    """rep with Thibon's closed-form q-maj eigenvalues and multiplicities,
+    the multiplicities of the two partitions in swap exchanged."""
+    lams = [block_partition(members[0], rank) for members in rep.class_members]
+    mult = {lam: cycle_type_count(lam) for lam in lams}
+    if swap:
+        a, b = swap
+        mult[a], mult[b] = mult[b], mult[a]
+    return dataclasses.replace(
+        rep, delta_values=[thibon_qmaj_delta(lam, q) for lam in lams],
+        multiplicities=[mult[lam] for lam in lams])
+
+
+@pytest.mark.parametrize("name,swap", [
+    ("A3", ()), ("A4", ()), ("A3", ((2, 2), (4,)))])
+def test_verify_checks_thibons_qmaj_spectrum(group_factory, monkeypatch, name, swap):
+    # the oracle checks the closed form itself, not spectrum's values; on A3
+    # the classes (2,2) and (4) hold 3 and 6 elements, and swapped they fail
+    g = group_factory(name)
+    _patch_spectrum(monkeypatch, lambda rep: _thibon_report(rep, g.rank, Fraction(2), swap))
+    v = verify_spectrum(g, parse_preset("qmaj:2", g.spec))
+    assert v.matched == [not swap] * len(DEFAULT_PRIMES)
 
 
 def test_predicted_charpoly_degree(group_factory, atlas_factory):
@@ -303,9 +464,7 @@ def test_lemma_same_spectrum(group_factory, name):
 @pytest.mark.parametrize("corrupt", [_shift_last_delta, _move_one_multiplicity])
 def test_lemma_rejects_a_wrong_spectrum(group_factory, monkeypatch, corrupt):
     # a wrong multiplicity leaves the Delta_j, so the diagonal still matches
-    real = oracle.spectrum
-    monkeypatch.setattr(oracle, "spectrum",
-                        lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+    _patch_spectrum(monkeypatch, corrupt)
     assert not verify_lemma_same_spectrum(group_factory("H3"), _random_element(3, 9))
 
 
